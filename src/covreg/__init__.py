@@ -12,7 +12,7 @@ from .covariance import (
     sample_covariance,
     spectral_decompose,
 )
-from .factors import BlockDiagonalFCM, FactorModel, dense, invert, min_variance_weights
+from .factors import FactorModel, dense, invert, min_variance_weights
 from .harness import (
     BaiYinReport,
     MethodConfig,
@@ -28,6 +28,7 @@ from .regularizers import (
     ShrinkageSpec,
     ShrunkFactorModel,
     TruncatedPCModel,
+    build_target,
     constant_correlation_target,
     diagonal_target,
     estimate_rho,
@@ -38,7 +39,6 @@ from .regularizers import (
 
 __all__ = [
     "BaiYinReport",
-    "BlockDiagonalFCM",
     "DemeanedPanel",
     "FactorModel",
     "MethodConfig",
@@ -51,6 +51,7 @@ __all__ = [
     "SyntheticSpec",
     "TruncatedPCModel",
     "bai_yin_check",
+    "build_target",
     "constant_correlation_target",
     "demean",
     "dense",

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 
 from . import harness, regularizers, serialize
 from .covariance import SampleCovariance, sample_covariance, spectral_decompose
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ParseError, ValidationError
 from .factors import dense
-from .panels import demean, load_panel
+from .panels import ReturnsPanel, demean, load_panel
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -38,21 +37,39 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _read_panel(args) -> ReturnsPanel:
+    return load_panel(
+        io.StringIO(_read_text(args.input)), header=not args.no_header
+    )
+
+
 def _load_scm(args) -> SampleCovariance:
     if getattr(args, "from_matrix", False):
         m = serialize.matrix_from_csv(_read_text(args.input))
         return SampleCovariance.from_matrix(m)
-    panel = load_panel(
-        io.StringIO(_read_text(args.input)), header=not args.no_header
-    )
-    return sample_covariance(demean(panel))
+    return sample_covariance(demean(_read_panel(args)))
 
 
-def _build_target(scm: SampleCovariance, args):
-    if args.target == "diagonal":
-        return regularizers.diagonal_target(scm)
-    rho = regularizers.estimate_rho(scm) if args.rho == "auto" else float(args.rho)
-    return regularizers.constant_correlation_target(scm, rho)
+def _number(cast, text: str, name: str):
+    try:
+        return cast(text)
+    except ValueError:
+        raise ParseError(f"{name} must be a number, got {text!r}") from None
+
+
+def _rho(text: str) -> float | None:
+    return None if text == "auto" else _number(float, text, "rho")
+
+
+def _emit(dense_out, model_json: dict, args) -> None:
+    """Dense matrix plus factor model: one JSON object, or CSV + stderr JSON."""
+    if args.json:
+        payload = {"dense": serialize.matrix_to_json_dict(dense_out),
+                   "factor_model": model_json}
+        _write(serialize.dumps(payload) + "\n", args.output)
+    else:
+        _write(serialize.matrix_to_csv(dense_out), args.output)
+        sys.stderr.write(serialize.dumps(model_json) + "\n")
 
 
 def _cmd_scm(args) -> None:
@@ -65,8 +82,7 @@ def _cmd_scm(args) -> None:
 
 
 def _cmd_spectral(args) -> None:
-    m = serialize.matrix_from_csv(_read_text(args.input))
-    spectral = spectral_decompose(SampleCovariance.from_matrix(m))
+    spectral = spectral_decompose(_load_scm(args))
     _write(serialize.dumps(serialize.spectral_to_json_dict(spectral)) + "\n",
            args.output)
 
@@ -74,70 +90,62 @@ def _cmd_spectral(args) -> None:
 def _cmd_shrink(args) -> None:
     scm = _load_scm(args)
     spectral = spectral_decompose(scm)
-    spec = regularizers.ShrinkageSpec(q=args.q, target=_build_target(scm, args))
+    target = regularizers.build_target(scm, args.target, _rho(args.rho))
+    spec = regularizers.ShrinkageSpec(q=args.q, target=target)
     dense_out = regularizers.shrink_dense(scm, spec)
     model = regularizers.shrink_as_factor_model(spectral, spec)
-    payload = {
-        "dense": serialize.matrix_to_json_dict(dense_out),
-        "factor_model": serialize.shrunk_to_json_dict(model),
-    }
-    if args.json:
-        _write(serialize.dumps(payload) + "\n", args.output)
-    else:
-        _write(serialize.matrix_to_csv(dense_out), args.output)
-        sys.stderr.write(serialize.dumps(payload["factor_model"]) + "\n")
+    _emit(dense_out, serialize.shrunk_to_json_dict(model), args)
 
 
 def _cmd_truncate(args) -> None:
     scm = _load_scm(args)
     spectral = spectral_decompose(scm)
-    target = _build_target(scm, args)
+    target = regularizers.build_target(scm, args.target, _rho(args.rho))
     model = regularizers.truncated_pc_model(scm, spectral, target, args.f_hat)
-    payload = {
-        "dense": serialize.matrix_to_json_dict(dense(model.base)),
-        "factor_model": serialize.truncated_to_json_dict(model),
-    }
-    if args.json:
-        _write(serialize.dumps(payload) + "\n", args.output)
-    else:
-        _write(serialize.matrix_to_csv(dense(model.base)), args.output)
-        sys.stderr.write(serialize.dumps(payload["factor_model"]) + "\n")
+    _emit(dense(model.base), serialize.truncated_to_json_dict(model), args)
+
+
+METHOD_KEYS = ("q", "f_hat", "target", "rho")
 
 
 def _parse_methods(specs: list[str]) -> list[harness.MethodConfig]:
+    """kind[,key=value...] with keys from METHOD_KEYS -> MethodConfig."""
     methods = []
     for raw in specs:
-        tokens = raw.split(",")
-        kind = tokens[0]
-        parts = dict(kv.split("=", 1) for kv in tokens[1:] if "=" in kv)
-        rho = parts.get("rho")
+        kind, *tokens = raw.split(",")
+        parts = {}
+        for token in tokens:
+            key, eq, value = token.partition("=")
+            if not eq or key not in METHOD_KEYS:
+                raise ParseError(
+                    f"method spec {raw!r}: expected key=value with key in "
+                    f"{', '.join(METHOD_KEYS)}, got {token!r}"
+                )
+            parts[key] = value
         methods.append(
             harness.MethodConfig(
                 kind=kind,
-                q=float(parts.get("q", 0.0)),
-                f_hat=int(parts.get("f_hat", 0)),
+                q=_number(float, parts.get("q", "0"), "q"),
+                f_hat=_number(int, parts.get("f_hat", "0"), "f_hat"),
                 target_kind=parts.get("target", "diagonal"),
-                rho=None if rho in (None, "auto") else float(rho),
+                rho=_rho(parts.get("rho", "auto")),
             )
         )
     return methods
 
 
 def _cmd_eval(args) -> None:
-    panel = load_panel(
-        io.StringIO(_read_text(args.input)), header=not args.no_header
-    )
     methods = _parse_methods(args.method)
-    report = harness.stability_experiment(panel, args.split, methods)
+    report = harness.stability_experiment(_read_panel(args), args.split, methods)
     if args.json:
-        _write(report.to_json() + "\n", args.output)
+        _write(serialize.dumps(report.to_json_dict()) + "\n", args.output)
     else:
         _write(report.to_table() + "\n", args.output)
 
 
 def _cmd_baiyin(args) -> None:
     report = harness.bai_yin_check(args.n, args.m, args.trials, args.seed)
-    _write(json.dumps(report.to_json_dict()) + "\n", args.output)
+    _write(serialize.dumps(report.to_json_dict()) + "\n", args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="input is a dense covariance CSV, not a panel")
 
     def add_target(p):
-        p.add_argument("--target", choices=("diagonal", "constant_correlation"),
+        p.add_argument("--target", choices=regularizers.TARGET_KINDS,
                        default="diagonal")
         p.add_argument("--rho", default="auto",
                        help="uniform correlation, or 'auto' to estimate")
@@ -173,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", help="covariance CSV -> eigenpairs JSON")
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=_cmd_spectral)
+    p.set_defaults(func=_cmd_spectral, from_matrix=True)
 
     p = sub.add_parser("shrink", help="shrink toward a target; dense + factor form")
     add_io(p, matrix_ok=True)
@@ -214,12 +222,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if getattr(args, "q", None) is not None and not 0.0 <= args.q <= 1.0:
-            raise ValidationError(f"--q must be in [0, 1], got {args.q}")
-        if getattr(args, "f_hat", None) is not None and args.f_hat < 0:
-            raise ValidationError(f"--f-hat must be >= 0, got {args.f_hat}")
-        if getattr(args, "split", None) is not None and not 0.0 < args.split < 1.0:
-            raise ValidationError(f"--split must be in (0, 1), got {args.split}")
         args.func(args)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -31,6 +31,8 @@ class SampleCovariance:
         object.__setattr__(self, "c", c)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValidationError("covariance must be square")
+        if not np.all(np.isfinite(c)):
+            raise ValidationError("covariance has non-finite entries")
         if not np.array_equal(c, c.T):
             raise ValidationError("covariance must be exactly symmetric")
         if np.any(np.diag(c) < 0):
@@ -45,14 +47,11 @@ class SampleCovariance:
         return np.diag(self.c)
 
     @classmethod
-    def from_matrix(cls, c: np.ndarray, n_obs_minus_one: int | None = None
-                    ) -> "SampleCovariance":
+    def from_matrix(cls, c: np.ndarray) -> "SampleCovariance":
         """Wrap an externally supplied matrix, symmetrizing exactly."""
         c = np.asarray(c, dtype=float)
         sym = 0.5 * (c + c.T)
-        if n_obs_minus_one is None:
-            n_obs_minus_one = sym.shape[0]
-        return cls(c=sym, n_obs_minus_one=n_obs_minus_one)
+        return cls(c=sym, n_obs_minus_one=sym.shape[0])
 
 
 @dataclass(frozen=True)
@@ -112,10 +111,8 @@ def sample_covariance(x: DemeanedPanel) -> SampleCovariance:
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each row so its largest-magnitude entry is positive."""
     out = vectors.copy()
-    for row in out:
-        pivot = np.argmax(np.abs(row))
-        if row[pivot] < 0:
-            row *= -1.0
+    pivots = out[np.arange(out.shape[0]), np.argmax(np.abs(out), axis=1)]
+    out[pivots < 0] *= -1.0
     return out
 
 

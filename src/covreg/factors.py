@@ -7,7 +7,6 @@ model.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,55 +72,6 @@ class FactorModel:
         n = xi.shape[0]
         return cls(specific_risk=xi, loadings=np.zeros((n, 0)),
                    fcm=np.zeros((0, 0)))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n_assets,
-            "k": self.n_factors,
-            "xi": self.specific_risk.tolist(),
-            "omega": self.loadings.ravel().tolist(),
-            "phi": self.fcm.ravel().tolist(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FactorModel":
-        n, k = int(d["n"]), int(d["k"])
-        return cls(
-            specific_risk=np.asarray(d["xi"], dtype=float),
-            loadings=np.asarray(d["omega"], dtype=float).reshape(n, k),
-            fcm=np.asarray(d["phi"], dtype=float).reshape(k, k),
-        )
-
-
-@dataclass(frozen=True)
-class BlockDiagonalFCM:
-    """Block-diagonal factor covariance, zero off-block by construction."""
-
-    blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        blocks = tuple(np.asarray(b, dtype=float) for b in self.blocks)
-        for b in blocks:
-            b.setflags(write=False)
-            if b.ndim != 2 or b.shape[0] != b.shape[1]:
-                raise ValidationError("blocks must be square")
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def total_size(self) -> int:
-        return sum(b.shape[0] for b in self.blocks)
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.total_size, self.total_size))
-        pos = 0
-        for b in self.blocks:
-            k = b.shape[0]
-            out[pos:pos + k, pos:pos + k] = b
-            pos += k
-        return out
 
 
 def dense(model: FactorModel) -> np.ndarray:

@@ -8,22 +8,20 @@ seeds are spawned up front so parallel and serial runs agree.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .covariance import SampleCovariance, spectral_decompose, sample_covariance
 from .errors import InvalidSpec, SingularSpecificRisk, IllConditioned, SplitTooSmall
 from .factors import FactorModel, dense, min_variance_weights
-from .panels import DemeanedPanel, ReturnsPanel, demean
+from .panels import ReturnsPanel, demean
 from .regularizers import (
+    TARGET_KINDS,
     ShrinkageSpec,
-    constant_correlation_target,
-    diagonal_target,
-    estimate_rho,
+    build_target,
     shrink_as_factor_model,
     shrink_dense,
     truncated_pc_model,
@@ -112,14 +110,7 @@ class BaiYinReport:
     n_trials: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "y": self.y,
-            "lambda_min_limit": self.lambda_min_limit,
-            "lambda_max_limit": self.lambda_max_limit,
-            "observed_min": self.observed_min,
-            "observed_max": self.observed_max,
-            "n_trials": self.n_trials,
-        }
+        return asdict(self)
 
 
 def bai_yin_check(n: int, m: int, trials: int, seed: int) -> BaiYinReport:
@@ -160,8 +151,8 @@ def bai_yin_check(n: int, m: int, trials: int, seed: int) -> BaiYinReport:
 class MethodConfig:
     """One estimator entry for the stability comparison.
 
-    kind: "scm_ridge" (shrink toward diagonal with small fixed q, the
-    stand-in for raw SCM when inversion is required), "shrink", or
+    kind: "scm_ridge" (shrink with a small q, 0.01 when q is left at 0:
+    the stand-in for raw SCM when inversion is required), "shrink", or
     "truncated_pc". rho applies to the constant-correlation target and
     may be None for "auto".
     """
@@ -176,8 +167,10 @@ class MethodConfig:
     def __post_init__(self):
         if self.kind not in ("scm_ridge", "shrink", "truncated_pc"):
             raise InvalidSpec(f"unknown method kind {self.kind!r}")
-        if self.target_kind not in ("diagonal", "constant_correlation"):
+        if self.target_kind not in TARGET_KINDS:
             raise InvalidSpec(f"unknown target kind {self.target_kind!r}")
+        if self.kind == "scm_ridge" and not self.q:
+            object.__setattr__(self, "q", 0.01)
         if not self.label:
             object.__setattr__(self, "label", self._default_label())
 
@@ -189,25 +182,16 @@ class MethodConfig:
         return f"truncated_pc(f_hat={self.f_hat},{self.target_kind})"
 
 
-def _build_target(scm: SampleCovariance, cfg: MethodConfig) -> FactorModel:
-    if cfg.target_kind == "diagonal":
-        return diagonal_target(scm)
-    rho = cfg.rho if cfg.rho is not None else estimate_rho(scm)
-    return constant_correlation_target(scm, rho)
-
-
 def estimate_method(scm: SampleCovariance, cfg: MethodConfig
                     ) -> tuple[np.ndarray, FactorModel]:
     """Fit one method on an SCM; returns (dense matrix, factor model)."""
     spectral = spectral_decompose(scm)
-    if cfg.kind in ("scm_ridge", "shrink"):
-        q = cfg.q if cfg.kind == "shrink" else (cfg.q or 0.01)
-        spec = ShrinkageSpec(q=q, target=_build_target(scm, cfg))
-        model = shrink_as_factor_model(spectral, spec).base
-        return shrink_dense(scm, spec), model
-    target = _build_target(scm, cfg)
-    truncated = truncated_pc_model(scm, spectral, target, cfg.f_hat)
-    return dense(truncated.base), truncated.base
+    target = build_target(scm, cfg.target_kind, cfg.rho)
+    if cfg.kind == "truncated_pc":
+        model = truncated_pc_model(scm, spectral, target, cfg.f_hat).base
+        return dense(model), model
+    spec = ShrinkageSpec(q=cfg.q, target=target)
+    return shrink_dense(scm, spec), shrink_as_factor_model(spectral, spec).base
 
 
 @dataclass(frozen=True)
@@ -221,15 +205,7 @@ class MethodRecord:
     leading_pc_overlap: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "in_sample_error": self.in_sample_error,
-            "out_of_sample_error": self.out_of_sample_error,
-            "realized_variance": self.realized_variance,
-            "invertible": self.invertible,
-            "truth_error": self.truth_error,
-            "leading_pc_overlap": self.leading_pc_overlap,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -244,9 +220,6 @@ class StabilityReport:
             "n_test": self.n_test,
             "records": [r.to_json_dict() for r in self.records],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     def to_table(self) -> str:
         header = f"{'method':<36} {'in_err':>12} {'out_err':>12} {'real_var':>12}"

@@ -9,7 +9,8 @@ error; there is no imputation path.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +73,8 @@ class DemeanedPanel:
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
         row_sums = np.abs(x.sum(axis=1))
-        scale = x.shape[1] * np.abs(x).max(initial=0.0)
+        # floored so the tolerance does not underflow to 0 on subnormal rows
+        scale = x.shape[1] * max(np.abs(x).max(initial=0.0), 1e-300)
         if np.any(row_sums > 1e-10 * scale):
             raise ValidationError("rows are not demeaned")
 
@@ -118,7 +120,7 @@ def load_panel(source, header: bool = True, delimiter: str = ",") -> ReturnsPane
     cell in the row parses as a number, in which case ids are synthesized
     as A0001, A0002, ...
     """
-    if isinstance(source, (str, bytes)):
+    if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             return load_panel(fh, header=header, delimiter=delimiter)
 

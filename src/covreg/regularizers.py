@@ -21,13 +21,15 @@ from .errors import (
     DiagonalMismatch,
     DimensionMismatch,
     FhatOutOfRange,
+    InvalidSpec,
     RhoOutOfRange,
     ValidationError,
     ZeroVarianceAsset,
 )
-from .factors import BlockDiagonalFCM, FactorModel, dense
+from .factors import FactorModel, dense
 
 DIAG_MATCH_REL = 1e-10
+TARGET_KINDS = ("diagonal", "constant_correlation")
 
 
 def _require_positive_variances(scm: SampleCovariance) -> np.ndarray:
@@ -49,9 +51,10 @@ class ShrinkageSpec:
             raise ValidationError(f"q must be in [0, 1], got {self.q}")
 
     def validate_against(self, scm: SampleCovariance) -> None:
-        if self.target.n_assets != scm.n_assets:
+        t = self.target
+        if t.n_assets != scm.n_assets:
             raise DimensionMismatch("target size differs from SCM")
-        target_diag = np.diag(dense(self.target))
+        target_diag = t.specific_risk ** 2 + ((t.loadings @ t.fcm) * t.loadings).sum(axis=1)
         mismatch = np.abs(target_diag - scm.variances)
         if np.any(mismatch > DIAG_MATCH_REL * scm.variances):
             raise DiagonalMismatch("target diagonal must equal SCM diagonal")
@@ -62,7 +65,6 @@ class ShrunkFactorModel:
     """The shrunk SCM written as a (K+F)-factor model."""
 
     base: FactorModel
-    block_structure: BlockDiagonalFCM
     q: float
 
 
@@ -104,6 +106,19 @@ def constant_correlation_target(scm: SampleCovariance, rho: float) -> FactorMode
     return FactorModel(specific_risk=xi, loadings=omega, fcm=np.ones((1, 1)))
 
 
+def build_target(scm: SampleCovariance, kind: str, rho: float | None = None
+                 ) -> FactorModel:
+    """Target named kind (one of TARGET_KINDS) for scm.
+
+    rho applies to the constant-correlation target; None estimates it.
+    """
+    if kind == "diagonal":
+        return diagonal_target(scm)
+    if kind == "constant_correlation":
+        return constant_correlation_target(scm, estimate_rho(scm) if rho is None else rho)
+    raise InvalidSpec(f"unknown target kind {kind!r}")
+
+
 def estimate_rho(scm: SampleCovariance) -> float:
     """Mean pairwise correlation, clamped to [0, 0.999]."""
     var = _require_positive_variances(scm)
@@ -113,6 +128,15 @@ def estimate_rho(scm: SampleCovariance) -> float:
     iu = np.triu_indices(n, k=1)
     rho = float(corr[iu].mean())
     return min(max(rho, 0.0), 0.999)
+
+
+def _block_fcm(target_fcm: np.ndarray, pc_variances: np.ndarray) -> np.ndarray:
+    """blockdiag(target_fcm, diag(pc_variances)), exactly zero off the blocks."""
+    k, f = target_fcm.shape[0], pc_variances.shape[0]
+    phi = np.zeros((k + f, k + f))
+    phi[:k, :k] = target_fcm
+    phi[k:, k:] = np.diag(pc_variances)
+    return phi
 
 
 def shrink_dense(scm: SampleCovariance, spec: ShrinkageSpec) -> np.ndarray:
@@ -134,20 +158,12 @@ def shrink_as_factor_model(
     if target.n_assets != spectral.n_assets:
         raise DimensionMismatch("target size differs from spectral decomposition")
     q = spec.q
-    f = spectral.n_positive
-    k = target.n_factors
-
-    xi_tilde = np.sqrt(q) * target.specific_risk
-    omega_tilde = np.hstack([target.loadings, spectral.components.T])
-    target_block = q * target.fcm
-    pc_block = np.diag((1.0 - q) * spectral.eigenvalues)
-    blocks = BlockDiagonalFCM(blocks=(target_block, pc_block))
-
-    phi_tilde = np.zeros((k + f, k + f))
-    phi_tilde[:k, :k] = target_block
-    phi_tilde[k:, k:] = pc_block
-    base = FactorModel(specific_risk=xi_tilde, loadings=omega_tilde, fcm=phi_tilde)
-    return ShrunkFactorModel(base=base, block_structure=blocks, q=q)
+    base = FactorModel(
+        specific_risk=np.sqrt(q) * target.specific_risk,
+        loadings=np.hstack([target.loadings, spectral.components.T]),
+        fcm=_block_fcm(q * target.fcm, (1.0 - q) * spectral.eigenvalues),
+    )
+    return ShrunkFactorModel(base=base, q=q)
 
 
 def truncated_pc_model(
@@ -179,11 +195,9 @@ def truncated_pc_model(
     nu_sq = (dropped_pc.T ** 2 @ dropped_ev) / var if f_hat < f else np.zeros_like(var)
     nu = np.sqrt(np.maximum(nu_sq, 0.0))
 
-    k = target.n_factors
-    xi_hat = nu * target.specific_risk
-    omega_hat = np.hstack([nu[:, None] * target.loadings, kept_pc.T])
-    phi_hat = np.zeros((k + f_hat, k + f_hat))
-    phi_hat[:k, :k] = target.fcm
-    phi_hat[k:, k:] = np.diag(kept_ev)
-    base = FactorModel(specific_risk=xi_hat, loadings=omega_hat, fcm=phi_hat)
+    base = FactorModel(
+        specific_risk=nu * target.specific_risk,
+        loadings=np.hstack([nu[:, None] * target.loadings, kept_pc.T]),
+        fcm=_block_fcm(target.fcm, kept_ev),
+    )
     return TruncatedPCModel(base=base, nu=nu, f_hat=f_hat)

@@ -1,4 +1,4 @@
-"""Matrix and model serialization for CLI output.
+"""The one home of the CLI's file formats: matrix CSV and result JSON.
 
 CSV matrices are dense, headerless, 12 significant digits. JSON carries
 full double round-trip precision (plain repr of Python floats).
@@ -11,6 +11,7 @@ import json
 import numpy as np
 
 from .covariance import SpectralDecomposition
+from .errors import ParseError
 from .factors import FactorModel
 from .regularizers import ShrunkFactorModel, TruncatedPCModel
 
@@ -25,19 +26,26 @@ def matrix_to_csv(m: np.ndarray) -> str:
 
 
 def matrix_from_csv(text: str) -> np.ndarray:
-    rows = [
-        [float(tok) for tok in line.split(",")]
-        for line in text.splitlines()
-        if line.strip()
-    ]
-    return np.asarray(rows, dtype=float)
+    """Parse a headerless matrix CSV; ParseError unless square and finite."""
+    rows = [line.split(",") for line in text.splitlines() if line.strip()]
+    if not rows:
+        raise ParseError("empty matrix")
+    n = len(rows)
+    for i, cells in enumerate(rows):
+        if len(cells) != n:
+            raise ParseError(f"matrix row {i} has {len(cells)} cells; {n} rows need {n}")
+    try:
+        m = np.array([[float(tok) for tok in cells] for cells in rows])
+    except ValueError as exc:
+        raise ParseError(f"non-numeric matrix cell: {exc}") from None
+    if not np.all(np.isfinite(m)):
+        raise ParseError("matrix has non-finite entries")
+    return m
 
 
-def matrix_to_json_dict(m: np.ndarray, **extra) -> dict:
+def matrix_to_json_dict(m: np.ndarray) -> dict:
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    out = {"n": m.shape[0], "data": m.ravel().tolist()}
-    out.update(extra)
-    return out
+    return {"n": m.shape[0], "data": m.ravel().tolist()}
 
 
 def spectral_to_json_dict(s: SpectralDecomposition) -> dict:
@@ -50,14 +58,33 @@ def spectral_to_json_dict(s: SpectralDecomposition) -> dict:
     }
 
 
+def factor_model_to_json_dict(model: FactorModel) -> dict:
+    return {
+        "n": model.n_assets,
+        "k": model.n_factors,
+        "xi": model.specific_risk.tolist(),
+        "omega": model.loadings.ravel().tolist(),
+        "phi": model.fcm.ravel().tolist(),
+    }
+
+
+def factor_model_from_json_dict(d: dict) -> FactorModel:
+    n, k = int(d["n"]), int(d["k"])
+    return FactorModel(
+        specific_risk=np.asarray(d["xi"], dtype=float),
+        loadings=np.asarray(d["omega"], dtype=float).reshape(n, k),
+        fcm=np.asarray(d["phi"], dtype=float).reshape(k, k),
+    )
+
+
 def shrunk_to_json_dict(model: ShrunkFactorModel) -> dict:
-    out = model.base.to_json_dict()
+    out = factor_model_to_json_dict(model.base)
     out["q"] = model.q
     return out
 
 
 def truncated_to_json_dict(model: TruncatedPCModel) -> dict:
-    out = model.base.to_json_dict()
+    out = factor_model_to_json_dict(model.base)
     out["f_hat"] = model.f_hat
     out["nu"] = model.nu.tolist()
     return out
@@ -65,7 +92,3 @@ def truncated_to_json_dict(model: TruncatedPCModel) -> dict:
 
 def dumps(obj: dict) -> str:
     return json.dumps(obj)
-
-
-def factor_model_from_json(text: str) -> FactorModel:
-    return FactorModel.from_json_dict(json.loads(text))

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import covreg as cr
-from covreg.cli import main
-from covreg.serialize import matrix_from_csv
+from covreg.cli import METHOD_KEYS, main
+from covreg.errors import ParseError
+from covreg.serialize import factor_model_from_json_dict, matrix_from_csv
 
 PANEL_CSV = (
     "id,t0,t1,t2,t3,t4\n"
@@ -20,6 +26,18 @@ def panel_path(tmp_path):
     p = tmp_path / "panel.csv"
     p.write_text(PANEL_CSV)
     return str(p)
+
+
+@pytest.fixture
+def eval_panel_path(tmp_path):
+    """5 assets x 40 observations, enough for a train/test split."""
+    big = tmp_path / "big.csv"
+    panel = cr.generate_panel(cr.SyntheticSpec(n_assets=5, n_obs=40, seed=3))
+    rows = ["id," + ",".join(f"t{s}" for s in range(40))]
+    for i, aid in enumerate(panel.asset_ids):
+        rows.append(aid + "," + ",".join(repr(float(v)) for v in panel.returns[i]))
+    big.write_text("\n".join(rows) + "\n")
+    return str(big)
 
 
 def run(capsys, *argv):
@@ -64,7 +82,7 @@ def test_shrink_emits_factor_model(panel_path, capsys):
     assert payload["factor_model"]["q"] == 0.5
     n = payload["dense"]["n"]
     dense = np.array(payload["dense"]["data"]).reshape(n, n)
-    fm = cr.FactorModel.from_json_dict(payload["factor_model"])
+    fm = factor_model_from_json_dict(payload["factor_model"])
     np.testing.assert_allclose(cr.dense(fm), dense, atol=1e-12)
 
 
@@ -98,15 +116,9 @@ def test_baiyin_deterministic(capsys):
     assert payload["lambda_max_limit"] == 2.25
 
 
-def test_eval_table_and_json(panel_path, tmp_path, capsys):
-    big = tmp_path / "big.csv"
-    panel = cr.generate_panel(cr.SyntheticSpec(n_assets=5, n_obs=40, seed=3))
-    rows = ["id," + ",".join(f"t{s}" for s in range(40))]
-    for i, aid in enumerate(panel.asset_ids):
-        rows.append(aid + "," + ",".join(repr(float(v)) for v in panel.returns[i]))
-    big.write_text("\n".join(rows) + "\n")
+def test_eval_table_and_json(eval_panel_path, capsys):
     code, out, _ = run(
-        capsys, "eval", "-i", str(big), "--split", "0.5",
+        capsys, "eval", "-i", eval_panel_path, "--split", "0.5",
         "--method", "shrink,q=0.5,target=diagonal",
         "--method", "truncated_pc,f_hat=1",
         "--json",
@@ -115,7 +127,7 @@ def test_eval_table_and_json(panel_path, tmp_path, capsys):
     payload = json.loads(out)
     assert len(payload["records"]) == 2
     code, out, _ = run(
-        capsys, "eval", "-i", str(big), "--split", "0.5",
+        capsys, "eval", "-i", eval_panel_path, "--split", "0.5",
         "--method", "shrink,q=0.5",
     )
     assert code == 0
@@ -177,3 +189,134 @@ def test_rho_auto_matches_estimate(panel_path, capsys):
     dense = np.array(payload["dense"]["data"]).reshape(n, n)
     expected = cr.dense(cr.constant_correlation_target(scm, rho))
     np.testing.assert_allclose(dense, expected, atol=1e-12)
+
+
+def run_with_stdin(argv, stdin=""):
+    """main() with stdin/stdout/stderr swapped for strings (no fixtures)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_line_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("method", [
+    "shrink,q=abc",
+    "truncated_pc,f_hat=x",
+    "truncated_pc,f_hat=1.5",
+    "shrink,q",
+    "shrink,q=0.5,",
+    "shrink,qq=0.5",
+    "shrink,target=constant_correlation,rho=abc",
+    "shrink,target=bogus",
+    "bogus,q=0.5",
+])
+def test_malformed_method_spec_exits_2(panel_path, capsys, method):
+    code, out, err = run(capsys, "eval", "-i", panel_path, "--method", method)
+    assert out == ""
+    assert_one_line_error(code, err)
+
+
+def test_malformed_rho_exits_2(panel_path, capsys):
+    code, _, err = run(capsys, "shrink", "-i", panel_path, "--q", "0.5",
+                       "--target", "constant_correlation", "--rho", "abc")
+    assert_one_line_error(code, err)
+
+
+BAD_MATRICES = {
+    "ragged": "1,0\n0\n",
+    "rectangular": "1,0,0\n0,1,0\n",
+    "non-numeric": "1,x\nx,1\n",
+    "empty": "\n \n",
+    "nan": "1,nan\nnan,1\n",
+    "inf": "inf,0\n0,1\n",
+}
+
+
+@pytest.mark.parametrize("text", BAD_MATRICES.values(), ids=BAD_MATRICES.keys())
+@pytest.mark.parametrize("argv", [
+    ["spectral", "-i", "-"],
+    ["shrink", "-i", "-", "--from-matrix", "--q", "0.5"],
+    ["truncate", "-i", "-", "--from-matrix", "--f-hat", "0"],
+])
+def test_malformed_matrix_csv_exits_2(argv, text):
+    with pytest.raises(ParseError):
+        matrix_from_csv(text)
+    code, out, err = run_with_stdin(argv, text)
+    assert out == ""
+    assert_one_line_error(code, err)
+    assert "symmetric" not in err
+
+
+def test_range_errors_come_from_the_library(panel_path, capsys):
+    for argv in (["truncate", "-i", panel_path, "--f-hat", "-1"],
+                 ["eval", "-i", panel_path, "--split", "1.5",
+                  "--method", "shrink,q=0.5"]):
+        code, _, err = run(capsys, *argv)
+        assert_one_line_error(code, err)
+
+
+def test_eval_scm_ridge_label_shows_fitted_q(eval_panel_path, capsys):
+    code, out, _ = run(capsys, "eval", "-i", eval_panel_path,
+                       "--method", "scm_ridge", "--json")
+    assert code == 0
+    assert json.loads(out)["records"][0]["label"] == "scm+ridge(q=0.01)"
+
+
+VALUE = st.one_of(
+    st.sampled_from(["0", "0.5", "1", "2", "-1", "1e400", "nan", "auto", ""]),
+    st.text(alphabet="0123456789.-+eEinfa_x ", max_size=6),
+)
+TOKEN = st.one_of(
+    st.tuples(st.sampled_from(METHOD_KEYS + ("qq", "")), st.sampled_from(["=", ""]),
+              VALUE).map("".join),
+    st.tuples(st.just("target="),
+              st.sampled_from(["diagonal", "constant_correlation", "x"])).map("".join),
+)
+METHOD_SPEC = st.one_of(
+    st.tuples(st.sampled_from(["shrink", "scm_ridge", "truncated_pc", "bogus", ""]),
+              st.lists(TOKEN, max_size=4)).map(lambda t: ",".join([t[0], *t[1]])),
+    st.text(max_size=30),
+)
+CELL = st.one_of(
+    st.sampled_from(["0", "1", "2", "-1", "0.5", "nan", "inf", "1e308", "", " ", "x"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+MATRIX_CSV = st.one_of(
+    st.lists(st.lists(CELL, min_size=1, max_size=4), max_size=4).map(
+        lambda rows: "".join(",".join(r) + "\n" for r in rows)),
+    st.text(max_size=40),
+)
+EXIT_CODES = {0, 1, 2, 3}
+
+
+def assert_clean_exit(code, err):
+    assert code in EXIT_CODES
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=METHOD_SPEC)
+def test_fuzz_method_spec(spec):
+    code, _, err = run_with_stdin(["eval", "-i", "-", f"--method={spec}"], PANEL_CSV)
+    assert_clean_exit(code, err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=MATRIX_CSV,
+       argv=st.sampled_from([["spectral"], ["shrink", "--from-matrix", "--q", "0.5"],
+                             ["truncate", "--from-matrix", "--f-hat", "1"]]))
+def test_fuzz_matrix_csv(text, argv):
+    code, _, err = run_with_stdin([*argv, "-i", "-"], text)
+    assert_clean_exit(code, err)

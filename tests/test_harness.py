@@ -140,6 +140,20 @@ class TestStability:
         assert 0.0 <= overlap <= 1.0 + 1e-12
 
 
+class TestMethodConfig:
+    def test_scm_ridge_default_q_in_label_and_fit(self):
+        cfg = MethodConfig(kind="scm_ridge")
+        assert cfg.q == 0.01
+        assert cfg.label == "scm+ridge(q=0.01)"
+        assert MethodConfig(kind="scm_ridge", q=0.05).label == "scm+ridge(q=0.05)"
+        panel = cr.generate_panel(cr.SyntheticSpec(n_assets=6, n_obs=30, seed=9))
+        ridge, shrink = cr.stability_experiment(
+            panel, 0.5, [cfg, MethodConfig(kind="shrink", q=0.01)]
+        ).records
+        assert ridge.out_of_sample_error == shrink.out_of_sample_error
+        assert ridge.realized_variance == shrink.realized_variance
+
+
 class TestGridSearch:
     def test_singleton_grid(self):
         panel = cr.generate_panel(cr.SyntheticSpec(n_assets=5, n_obs=20, seed=1))

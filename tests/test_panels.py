@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,14 @@ def test_load_basic_csv():
     np.testing.assert_array_equal(
         panel.returns, [[0.01, 0.02, -0.01], [-0.02, 0.00, 0.03]]
     )
+
+
+@pytest.mark.parametrize("as_path", [str, pathlib.Path])
+def test_load_from_path(tmp_path, as_path):
+    p = tmp_path / "panel.csv"
+    p.write_text(CSV)
+    panel = cr.load_panel(as_path(p))
+    np.testing.assert_array_equal(panel.returns, cr.loads_panel(CSV).returns)
 
 
 def test_load_no_header_synthesizes_ids():

@@ -54,6 +54,20 @@ class TestTargets:
         np.testing.assert_allclose(d, 0.3 + 0.7 * np.eye(3), atol=1e-12)
         assert np.linalg.eigvalsh(d).min() > 0
 
+    def test_build_target_dispatch(self, rng):
+        scm = random_scm(rng, 5, 30)
+        np.testing.assert_array_equal(
+            cr.dense(cr.build_target(scm, "diagonal")),
+            cr.dense(cr.diagonal_target(scm)),
+        )
+        for rho, expected in ((None, cr.estimate_rho(scm)), (0.2, 0.2)):
+            np.testing.assert_array_equal(
+                cr.dense(cr.build_target(scm, "constant_correlation", rho)),
+                cr.dense(cr.constant_correlation_target(scm, expected)),
+            )
+        with pytest.raises(ValidationError):
+            cr.build_target(scm, "bogus")
+
     def test_rho_out_of_range(self):
         with pytest.raises(RhoOutOfRange):
             cr.constant_correlation_target(scm_2x2(), -0.1)
@@ -116,6 +130,16 @@ class TestShrinkDense:
         with pytest.raises(DiagonalMismatch):
             cr.shrink_dense(scm, cr.ShrinkageSpec(q=0.5, target=bad))
 
+    def test_factor_target_diagonal_includes_loadings(self, rng):
+        # the check reads the diagonal from the factor form, loadings included
+        scm = random_scm(rng, 4, 20)
+        good = random_matched_target(rng, scm, 2)
+        cr.ShrinkageSpec(q=0.5, target=good).validate_against(scm)
+        bad = FactorModel(specific_risk=good.specific_risk,
+                          loadings=good.loadings * 1.5, fcm=good.fcm)
+        with pytest.raises(DiagonalMismatch):
+            cr.shrink_dense(scm, cr.ShrinkageSpec(q=0.5, target=bad))
+
     def test_q_out_of_range(self, rng):
         scm = random_scm(rng, 4, 20)
         with pytest.raises(ValidationError):
@@ -142,9 +166,8 @@ class TestShrinkAsFactorModel:
             cr.dense(model.base), cr.dense(target), atol=1e-10
         )
         # PC block of the FCM is identically zero at q = 1
-        np.testing.assert_array_equal(
-            model.block_structure.blocks[1], np.zeros_like(model.block_structure.blocks[1])
-        )
+        pc_block = model.base.fcm[target.n_factors:, target.n_factors:]
+        np.testing.assert_array_equal(pc_block, np.zeros_like(pc_block))
 
     def test_q_zero_reduces_to_scm(self, rng):
         scm = random_scm(rng, 5, 30)
@@ -159,20 +182,29 @@ class TestShrinkAsFactorModel:
         spec = cr.ShrinkageSpec(q=0.5, target=cr.diagonal_target(scm))
         model = cr.shrink_as_factor_model(spectral, spec)
         np.testing.assert_allclose(model.base.specific_risk**2, [0.5, 0.5])
-        # lone PC block entry: (1 - q) * lambda = 0.5 * 2
-        assert model.block_structure.blocks[1][0, 0] == pytest.approx(1.0)
+        # lone PC block entry (K = 0, so it is the whole FCM): (1 - q) * lambda = 0.5 * 2
+        assert model.base.fcm.shape == (1, 1)
+        assert model.base.fcm[0, 0] == pytest.approx(1.0)
         np.testing.assert_allclose(
             cr.dense(model.base), [[1, -0.5], [-0.5, 1]], atol=1e-12
         )
 
     def test_block_structure_matches_fcm(self, rng):
+        # the paper's claim: FCM = blockdiag(q Phi, (1 - q) diag(lambda))
         scm = random_scm(rng, 6, 4)
         target = random_matched_target(rng, scm, 2)
-        spec = cr.ShrinkageSpec(q=0.3, target=target)
-        model = cr.shrink_as_factor_model(cr.spectral_decompose(scm), spec)
+        q = 0.3
+        spectral = cr.spectral_decompose(scm)
+        fcm = cr.shrink_as_factor_model(
+            spectral, cr.ShrinkageSpec(q=q, target=target)
+        ).base.fcm
+        k, f = target.n_factors, spectral.n_positive
+        assert fcm.shape == (k + f, k + f)
+        np.testing.assert_array_equal(fcm[:k, :k], q * target.fcm)
         np.testing.assert_array_equal(
-            model.block_structure.dense(), model.base.fcm
+            fcm[k:, k:], np.diag((1 - q) * spectral.eigenvalues)
         )
+        assert np.all(fcm[:k, k:] == 0.0) and np.all(fcm[k:, :k] == 0.0)
 
     def test_shrunk_pd_for_positive_q(self, rng):
         # singular SCM, PD target: shrunk matrix bounded below by q * target
