@@ -8,14 +8,13 @@ Exit codes: 0 ok, 1 usage, 2 parse/validation, 3 numerical.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 
 from . import harness, regularizers, serialize
 from .covariance import SampleCovariance, sample_covariance, spectral_decompose
 from .errors import NumericalError, ParseError, ValidationError
 from .factors import dense
-from .panels import ReturnsPanel, demean, load_panel
+from .panels import ReturnsPanel, demean, loads_panel
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -23,10 +22,13 @@ EXIT_NUMERICAL = 3
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: input is not UTF-8 text") from None
 
 
 def _write(text: str, path: str | None) -> None:
@@ -38,9 +40,7 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _read_panel(args) -> ReturnsPanel:
-    return load_panel(
-        io.StringIO(_read_text(args.input)), header=not args.no_header
-    )
+    return loads_panel(_read_text(args.input), header=not args.no_header)
 
 
 def _load_scm(args) -> SampleCovariance:

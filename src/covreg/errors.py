@@ -24,7 +24,7 @@ class ParseError(ValidationError):
     pass
 
 
-class MissingValueError(ValidationError):
+class MissingValueError(ParseError):
     pass
 
 

@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .covariance import SampleCovariance, spectral_decompose, sample_covariance
+from .covariance import (SampleCovariance, SpectralDecomposition, sample_covariance,
+                         spectral_decompose)
 from .errors import InvalidSpec, SingularSpecificRisk, IllConditioned, SplitTooSmall
 from .factors import FactorModel, dense, min_variance_weights
 from .panels import ReturnsPanel, demean
@@ -182,10 +183,9 @@ class MethodConfig:
         return f"truncated_pc(f_hat={self.f_hat},{self.target_kind})"
 
 
-def estimate_method(scm: SampleCovariance, cfg: MethodConfig
-                    ) -> tuple[np.ndarray, FactorModel]:
-    """Fit one method on an SCM; returns (dense matrix, factor model)."""
-    spectral = spectral_decompose(scm)
+def estimate_method(scm: SampleCovariance, spectral: SpectralDecomposition,
+                    cfg: MethodConfig) -> tuple[np.ndarray, FactorModel]:
+    """Fit one method on an SCM and its decomposition; returns (dense, factor model)."""
     target = build_target(scm, cfg.target_kind, cfg.rho)
     if cfg.kind == "truncated_pc":
         model = truncated_pc_model(scm, spectral, target, cfg.f_hat).base
@@ -204,22 +204,15 @@ class MethodRecord:
     truth_error: float | None = None
     leading_pc_overlap: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class StabilityReport:
-    records: tuple[MethodRecord, ...]
     n_train: int
     n_test: int
+    records: tuple[MethodRecord, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "records": [r.to_json_dict() for r in self.records],
-        }
+        return asdict(self)
 
     def to_table(self) -> str:
         header = f"{'method':<36} {'in_err':>12} {'out_err':>12} {'real_var':>12}"
@@ -237,12 +230,6 @@ def _offdiag_frobenius(a: np.ndarray, b: np.ndarray) -> float:
     diff = a - b
     np.fill_diagonal(diff, 0.0)
     return float(np.linalg.norm(diff))
-
-
-def _leading_pc_overlap(train: SampleCovariance, test: SampleCovariance) -> float:
-    v_train = spectral_decompose(train).components[0]
-    v_test = spectral_decompose(test).components[0]
-    return float(abs(v_train @ v_test))
 
 
 def stability_experiment(
@@ -270,18 +257,21 @@ def stability_experiment(
     train = ReturnsPanel(panel.returns[:, :n_train], panel.asset_ids)
     test = ReturnsPanel(panel.returns[:, n_train:], panel.asset_ids)
     scm_train = sample_covariance(demean(train))
-    scm_test = sample_covariance(demean(test))
-    pc_overlap = _leading_pc_overlap(scm_train, scm_test)
+    test_demeaned = demean(test)
+    scm_test = sample_covariance(test_demeaned)
+    spectral_train = spectral_decompose(scm_train)
+    spectral_test = spectral_decompose(scm_test)
+    pc_overlap = float(abs(spectral_train.components[0] @ spectral_test.components[0]))
 
     records = []
     for cfg in methods:
-        est, model = estimate_method(scm_train, cfg)
+        est, model = estimate_method(scm_train, spectral_train, cfg)
         in_err = _offdiag_frobenius(est, scm_train.c)
         out_err = _offdiag_frobenius(est, scm_test.c)
         truth_err = _offdiag_frobenius(est, truth) if truth is not None else None
         try:
             w = min_variance_weights(model)
-            test_returns = w @ demean(test).x
+            test_returns = w @ test_demeaned.x
             realized = float(test_returns @ test_returns / (n_test - 1))
             invertible = True
         except (SingularSpecificRisk, IllConditioned):

@@ -4,6 +4,9 @@ Panels are N assets by M+1 time observations, oldest first. CSV layout:
 one row per asset, asset id in the first column, one column per
 observation, optional single header row. Missing values are a hard
 error; there is no imputation path.
+
+This module owns the cell grammar of every numeric CSV, panels and the
+matrices read by ``serialize`` alike: ``parse_cells``.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -98,27 +102,42 @@ def demean(panel: ReturnsPanel) -> DemeanedPanel:
     return DemeanedPanel(x)
 
 
+def parse_cells(rows: list[list[str]]) -> np.ndarray:
+    """Non-empty, equal-length rows of CSV tokens -> float array.
+
+    The one cell grammar of every numeric CSV: a cell must give a finite
+    float(). Else the first bad cell in row-major order raises, naming its
+    row and column (MissingValueError for _MISSING_TOKENS or non-finite).
+    """
+    try:
+        data = np.fromiter(map(float, chain.from_iterable(rows)), dtype=float)
+    except ValueError:
+        data = None
+    if data is not None and np.isfinite(data).all():
+        return data.reshape(len(rows), -1)
+    return np.array([[_parse_cell(token, i, j) for j, token in enumerate(cells)]
+                     for i, cells in enumerate(rows)])
+
+
 def _parse_cell(token: str, row: int, col: int) -> float:
-    stripped = token.strip()
+    stripped, where = token.strip(), f"at row {row}, column {col}"
     if stripped.lower() in _MISSING_TOKENS:
-        raise MissingValueError(f"missing value at row {row}, column {col}")
+        raise MissingValueError(f"missing value {where}")
     try:
         value = float(stripped)
     except ValueError:
-        raise ParseError(
-            f"non-numeric cell {stripped!r} at row {row}, column {col}"
-        ) from None
+        raise ParseError(f"non-numeric cell {stripped!r} {where}") from None
     if not np.isfinite(value):
-        raise MissingValueError(f"non-finite value at row {row}, column {col}")
+        raise MissingValueError(f"non-finite value {where}")
     return value
 
 
 def load_panel(source, header: bool = True, delimiter: str = ",") -> ReturnsPanel:
     """Parse a CSV stream (or path) into a ReturnsPanel.
 
-    With header=False the first column still holds asset ids unless every
-    cell in the row parses as a number, in which case ids are synthesized
-    as A0001, A0002, ...
+    With header=False the first column still holds asset ids unless the
+    first row's first cell parses as a number, in which case ids are
+    synthesized as A0001, A0002, ...
     """
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -136,16 +155,12 @@ def load_panel(source, header: bool = True, delimiter: str = ",") -> ReturnsPane
     width = len(rows[0])
     for i, cells in enumerate(rows):
         if len(cells) != width:
-            raise ParseError(
-                f"row {i} has {len(cells)} cells, expected {width}"
-            )
+            raise ParseError(f"row {i} has {len(cells)} cells, expected {width}")
 
-    # "no header" panels may be bare numbers with no id column
-    ids_present = True
-    if not header:
+    ids_present = header
+    if not header:  # "no header" panels may be bare numbers with no id column
         try:
             float(rows[0][0].strip())
-            ids_present = False
         except ValueError:
             ids_present = True
 
@@ -159,12 +174,7 @@ def load_panel(source, header: bool = True, delimiter: str = ",") -> ReturnsPane
     if not data_cells[0]:
         raise TooFewObservations("no observation columns")
 
-    data = np.empty((len(rows), len(data_cells[0])), dtype=float)
-    for i, cells in enumerate(data_cells):
-        for j, token in enumerate(cells):
-            data[i, j] = _parse_cell(token, i, j)
-
-    return ReturnsPanel(returns=data, asset_ids=tuple(asset_ids))
+    return ReturnsPanel(returns=parse_cells(data_cells), asset_ids=tuple(asset_ids))
 
 
 def loads_panel(text: str, header: bool = True, delimiter: str = ",") -> ReturnsPanel:

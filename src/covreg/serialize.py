@@ -1,7 +1,9 @@
 """The one home of the CLI's file formats: matrix CSV and result JSON.
 
-CSV matrices are dense, headerless, 12 significant digits. JSON carries
-full double round-trip precision (plain repr of Python floats).
+CSV matrices are dense, headerless, 12 significant digits. Their cells
+follow the one numeric-CSV cell grammar, owned by ``panels.parse_cells``;
+this module adds only the square-shape rule. JSON carries full double
+round-trip precision (plain repr of Python floats).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 from .covariance import SpectralDecomposition
 from .errors import ParseError
 from .factors import FactorModel
+from .panels import parse_cells
 from .regularizers import ShrunkFactorModel, TruncatedPCModel
 
 CSV_FORMAT = "%.12g"
@@ -26,7 +29,7 @@ def matrix_to_csv(m: np.ndarray) -> str:
 
 
 def matrix_from_csv(text: str) -> np.ndarray:
-    """Parse a headerless matrix CSV; ParseError unless square and finite."""
+    """Parse a headerless matrix CSV; ParseError unless square, cells as parse_cells."""
     rows = [line.split(",") for line in text.splitlines() if line.strip()]
     if not rows:
         raise ParseError("empty matrix")
@@ -34,13 +37,7 @@ def matrix_from_csv(text: str) -> np.ndarray:
     for i, cells in enumerate(rows):
         if len(cells) != n:
             raise ParseError(f"matrix row {i} has {len(cells)} cells; {n} rows need {n}")
-    try:
-        m = np.array([[float(tok) for tok in cells] for cells in rows])
-    except ValueError as exc:
-        raise ParseError(f"non-numeric matrix cell: {exc}") from None
-    if not np.all(np.isfinite(m)):
-        raise ParseError("matrix has non-finite entries")
-    return m
+    return parse_cells(rows)
 
 
 def matrix_to_json_dict(m: np.ndarray) -> dict:

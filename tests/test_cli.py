@@ -257,6 +257,16 @@ def test_malformed_matrix_csv_exits_2(argv, text):
     assert "symmetric" not in err
 
 
+@pytest.mark.parametrize("command", [["scm"], ["spectral"]])
+def test_non_utf8_input_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"\xff\xfe\x00\x01not text\n")
+    code, out, err = run(capsys, *command, "-i", str(path))
+    assert out == ""
+    assert_one_line_error(code, err)
+    assert "UTF-8" in err
+
+
 def test_range_errors_come_from_the_library(panel_path, capsys):
     for argv in (["truncate", "-i", panel_path, "--f-hat", "-1"],
                  ["eval", "-i", panel_path, "--split", "1.5",

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import covreg as cr
+from covreg import harness
+from covreg.covariance import spectral_decompose
 from covreg.errors import InvalidSpec, SplitTooSmall
 from covreg.harness import MethodConfig
 
@@ -138,6 +140,26 @@ class TestStability:
         )
         overlap = report.records[0].leading_pc_overlap
         assert 0.0 <= overlap <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("n_methods", [1, 4])
+    def test_one_decomposition_per_segment(self, monkeypatch, n_methods):
+        calls = []
+
+        def counting(scm):
+            calls.append(scm)
+            return spectral_decompose(scm)
+
+        monkeypatch.setattr(harness, "spectral_decompose", counting)
+        panel = cr.generate_panel(cr.SyntheticSpec(n_assets=6, n_obs=30, seed=9))
+        methods = [
+            MethodConfig(kind="shrink", q=0.5),
+            MethodConfig(kind="truncated_pc", f_hat=1),
+            MethodConfig(kind="scm_ridge"),
+            MethodConfig(kind="shrink", q=0.2, target_kind="constant_correlation"),
+        ]
+        report = cr.stability_experiment(panel, 0.5, methods[:n_methods])
+        assert len(report.records) == n_methods
+        assert len(calls) == 2
 
 
 class TestMethodConfig:

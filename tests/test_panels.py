@@ -14,6 +14,7 @@ from covreg.errors import (
     TooFewObservations,
     ValidationError,
 )
+from covreg.serialize import matrix_from_csv
 
 CSV = "id,t0,t1,t2\nAAA,0.01,0.02,-0.01\nBBB,-0.02,0.00,0.03\n"
 
@@ -79,6 +80,55 @@ def test_single_observation_rejected():
 def test_duplicate_ids_rejected():
     with pytest.raises(DuplicateAssetId):
         cr.loads_panel("id,t0,t1\nA,0.01,0.02\nA,0.03,0.04\n")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+CELL = st.one_of(
+    FINITE,
+    FINITE.map(lambda t: f" {t}  "),
+    st.sampled_from(["", "NA", "N/A", "nan", "inf", "1e400", "oops", "x1"]),
+)
+
+
+@st.composite
+def token_grids(draw):
+    n_rows, n_cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    return [draw(st.lists(CELL, min_size=n_cols, max_size=n_cols))
+            for _ in range(n_rows)]
+
+
+def first_bad_cell(grid):
+    for i, row in enumerate(grid):
+        for j, token in enumerate(row):
+            try:
+                if np.isfinite(float(token)):
+                    continue
+            except ValueError:
+                pass
+            return i, j
+    return None
+
+
+def assert_one_cell_grammar(read, grid):
+    bad = first_bad_cell(grid)
+    if bad is None:
+        np.testing.assert_array_equal(read(), [[float(t) for t in row] for row in grid])
+    else:
+        with pytest.raises(ParseError) as exc:
+            read()
+        assert str(exc.value).endswith(f"at row {bad[0]}, column {bad[1]}")
+
+
+@given(token_grids())
+@settings(max_examples=200)
+def test_panel_and_matrix_share_one_cell_grammar(grid):
+    header = "id," + ",".join(f"t{j}" for j in range(len(grid[0]))) + "\n"
+    panel = header + "".join(
+        f"A{i}," + ",".join(row) + "\n" for i, row in enumerate(grid))
+    assert_one_cell_grammar(lambda: cr.loads_panel(panel).returns, grid)
+    if len(grid) == len(grid[0]):
+        matrix = "".join(",".join(row) + "\n" for row in grid)
+        assert_one_cell_grammar(lambda: matrix_from_csv(matrix), grid)
 
 
 def test_demean_simple_rows():
