@@ -1,8 +1,8 @@
 """K-factor covariance models: Delta = diag(xi^2) + Omega Phi Omega^T.
 
-Inversion goes through the Woodbury identity so only K x K dense solves
-are ever needed; cost O(N K^2 + K^3). K = 0 is a legal pure-diagonal
-model.
+Solves go through the Woodbury identity so only K x K dense solves are
+ever needed; one right-hand side costs O(N K^2 + K^3). K = 0 is a legal
+pure-diagonal model.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ def dense(model: FactorModel) -> np.ndarray:
     return 0.5 * (d + d.T)
 
 
-def invert(model: FactorModel) -> np.ndarray:
-    """Inverse of the dense form via the Woodbury identity.
+def _woodbury_solve(model: FactorModel, rhs: np.ndarray) -> np.ndarray:
+    """Delta^-1 rhs for an (N, R) right-hand side via the Woodbury identity.
 
     Uses (D + U Phi U^T)^-1 = D^-1 - D^-1 U (I + Phi U^T D^-1 U)^-1 Phi U^T D^-1,
     which stays valid for singular (PSD) Phi.
@@ -92,22 +92,27 @@ def invert(model: FactorModel) -> np.ndarray:
     if np.any(xi2 == 0):
         raise SingularSpecificRisk("zero specific risk; dense form may be singular")
     d_inv = 1.0 / xi2
+    d_inv_rhs = d_inv[:, None] * rhs
     if model.n_factors == 0:
-        return np.diag(d_inv)
+        return d_inv_rhs
     omega = model.loadings
     phi = model.fcm
     core = np.eye(model.n_factors) + phi @ (omega.T * d_inv) @ omega
     cond = np.linalg.cond(core)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditioned(f"inner system condition estimate {cond:.3g}")
-    middle = np.linalg.solve(core, phi)
     left = omega * d_inv[:, None]
-    inv = np.diag(d_inv) - left @ middle @ left.T
+    middle = np.linalg.solve(core, phi @ (left.T @ rhs))
+    return d_inv_rhs - left @ middle
+
+
+def invert(model: FactorModel) -> np.ndarray:
+    """Inverse of the dense form: Delta^-1 applied to the identity."""
+    inv = _woodbury_solve(model, np.eye(model.n_assets))
     return 0.5 * (inv + inv.T)
 
 
 def min_variance_weights(model: FactorModel) -> np.ndarray:
-    """w = Delta^-1 1 / (1^T Delta^-1 1)."""
-    inv = invert(model)
-    raw = inv.sum(axis=1)
+    """w = Delta^-1 1 / (1^T Delta^-1 1), in O(N K^2) without the N x N inverse."""
+    raw = _woodbury_solve(model, np.ones((model.n_assets, 1)))[:, 0]
     return raw / raw.sum()

@@ -2,14 +2,10 @@
 
 All randomness flows from an explicit 64-bit seed through
 numpy's SeedSequence, so every report is reproducible bit-for-bit.
-Trials may run on a thread pool capped by COVREG_THREADS; per-trial
-seeds are spawned up front so parallel and serial runs agree.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,16 +25,6 @@ from .regularizers import (
 )
 
 GENERATORS = ("iid_unit", "one_factor")
-
-
-def _thread_count() -> int:
-    env = os.environ.get("COVREG_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -135,9 +121,7 @@ def bai_yin_check(n: int, m: int, trials: int, seed: int) -> BaiYinReport:
         spectral = spectral_decompose(sample_covariance(demean(panel)))
         return spectral.eigenvalues[-1], spectral.eigenvalues[0]
 
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        extremes = list(pool.map(one_trial, seeds))
-    mins, maxs = zip(*extremes)
+    mins, maxs = zip(*map(one_trial, seeds))
     return BaiYinReport(
         y=y,
         lambda_min_limit=float((1.0 - np.sqrt(y)) ** 2),
@@ -159,7 +143,6 @@ class MethodConfig:
     """
 
     kind: str
-    label: str = ""
     q: float = 0.0
     f_hat: int = 0
     target_kind: str = "diagonal"
@@ -172,10 +155,9 @@ class MethodConfig:
             raise InvalidSpec(f"unknown target kind {self.target_kind!r}")
         if self.kind == "scm_ridge" and not self.q:
             object.__setattr__(self, "q", 0.01)
-        if not self.label:
-            object.__setattr__(self, "label", self._default_label())
 
-    def _default_label(self) -> str:
+    @property
+    def label(self) -> str:
         if self.kind == "scm_ridge":
             return f"scm+ridge(q={self.q})"
         if self.kind == "shrink":

@@ -132,7 +132,7 @@ def _parse_cell(token: str, row: int, col: int) -> float:
     return value
 
 
-def load_panel(source, header: bool = True, delimiter: str = ",") -> ReturnsPanel:
+def load_panel(source, header: bool = True) -> ReturnsPanel:
     """Parse a CSV stream (or path) into a ReturnsPanel.
 
     With header=False the first column still holds asset ids unless the
@@ -141,9 +141,12 @@ def load_panel(source, header: bool = True, delimiter: str = ",") -> ReturnsPane
     """
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
-            return load_panel(fh, header=header, delimiter=delimiter)
+            return load_panel(fh, header=header)
 
-    lines = [ln for ln in (raw.rstrip("\r\n") for raw in source) if ln.strip()]
+    try:
+        lines = [ln for ln in (raw.rstrip("\r\n") for raw in source) if ln.strip()]
+    except UnicodeDecodeError:
+        raise ParseError("input is not UTF-8 text") from None
     if header:
         if not lines:
             raise ParseError("empty input")
@@ -151,7 +154,7 @@ def load_panel(source, header: bool = True, delimiter: str = ",") -> ReturnsPane
     if not lines:
         raise ParseError("no data rows")
 
-    rows = [ln.split(delimiter) for ln in lines]
+    rows = [ln.split(",") for ln in lines]
     width = len(rows[0])
     for i, cells in enumerate(rows):
         if len(cells) != width:
@@ -177,6 +180,6 @@ def load_panel(source, header: bool = True, delimiter: str = ",") -> ReturnsPane
     return ReturnsPanel(returns=parse_cells(data_cells), asset_ids=tuple(asset_ids))
 
 
-def loads_panel(text: str, header: bool = True, delimiter: str = ",") -> ReturnsPanel:
+def loads_panel(text: str, header: bool = True) -> ReturnsPanel:
     """Convenience wrapper: parse a panel from a CSV string."""
-    return load_panel(io.StringIO(text), header=header, delimiter=delimiter)
+    return load_panel(io.StringIO(text), header=header)

@@ -125,8 +125,8 @@ def estimate_rho(scm: SampleCovariance) -> float:
     sigma = np.sqrt(var)
     corr = scm.c / np.outer(sigma, sigma)
     n = scm.n_assets
-    iu = np.triu_indices(n, k=1)
-    rho = float(corr[iu].mean())
+    # the SCM is exactly symmetric: the off-diagonal mean is the upper triangle's
+    rho = float((corr.sum() - np.trace(corr)) / (n * (n - 1)))
     return min(max(rho, 0.0), 0.999)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import covreg as cr
-from covreg.errors import SingularSpecificRisk, ValidationError
+from covreg.errors import IllConditioned, SingularSpecificRisk, ValidationError
 from covreg.factors import FactorModel
 from covreg.serialize import (
     dumps,
@@ -86,6 +86,17 @@ class TestInvert:
         )
         with pytest.raises(SingularSpecificRisk):
             cr.invert(model)
+
+    @pytest.mark.parametrize("solve", [cr.invert, cr.min_variance_weights])
+    def test_ill_conditioned_core_rejected(self, solve):
+        # core = I + Phi Omega^T D^-1 Omega = [[1e9+1, 1e9], [1e9, 1e9+1]]
+        model = FactorModel(
+            specific_risk=[1e-9, 1e-9, 1.0],
+            loadings=[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+            fcm=[[1.0, 1.0], [1.0, 1.0]],
+        )
+        with pytest.raises(IllConditioned):
+            solve(model)
 
 
 class TestMinVarianceWeights:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,14 @@ class TestBaiYin:
         a = cr.bai_yin_check(n=10, m=20, trials=3, seed=5)
         b = cr.bai_yin_check(n=10, m=20, trials=3, seed=5)
         assert a == b
+
+    def test_runs_without_threads(self, monkeypatch):
+        def no_threads(self):
+            raise RuntimeError("bai_yin_check must not start threads")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        rep = cr.bai_yin_check(n=10, m=20, trials=3, seed=5)
+        assert rep.n_trials == 3
 
     def test_observed_near_limits(self):
         rep = cr.bai_yin_check(n=100, m=400, trials=3, seed=11)

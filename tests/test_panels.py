@@ -37,6 +37,13 @@ def test_load_from_path(tmp_path, as_path):
     np.testing.assert_array_equal(panel.returns, cr.loads_panel(CSV).returns)
 
 
+def test_load_from_path_rejects_non_utf8(tmp_path):
+    p = tmp_path / "panel.csv"
+    p.write_bytes(b"\xff" + CSV.encode())
+    with pytest.raises(ParseError, match="input is not UTF-8 text"):
+        cr.load_panel(p)
+
+
 def test_load_no_header_synthesizes_ids():
     panel = cr.loads_panel("0.01,0.02\n0.03,0.04\n", header=False)
     assert panel.asset_ids == ("A0001", "A0002")

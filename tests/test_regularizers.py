@@ -54,6 +54,17 @@ class TestTargets:
         np.testing.assert_allclose(d, 0.3 + 0.7 * np.eye(3), atol=1e-12)
         assert np.linalg.eigvalsh(d).min() > 0
 
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_estimate_rho_is_mean_pairwise_correlation(self, rng, n):
+        # one common factor keeps the mean inside the (0, 0.999) clamp
+        x = rng.standard_normal((n, 60)) + rng.standard_normal(60)
+        panel = cr.ReturnsPanel(x, tuple(f"A{i}" for i in range(n)))
+        scm = cr.sample_covariance(cr.demean(panel))
+        sigma = np.sqrt(np.diag(scm.c))
+        pairs = [scm.c[i, j] / (sigma[i] * sigma[j])
+                 for i in range(n) for j in range(i + 1, n)]
+        assert cr.estimate_rho(scm) == pytest.approx(np.mean(pairs), rel=0, abs=1e-14)
+
     def test_build_target_dispatch(self, rng):
         scm = random_scm(rng, 5, 30)
         np.testing.assert_array_equal(
