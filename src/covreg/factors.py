@@ -82,33 +82,42 @@ def dense(model: FactorModel) -> np.ndarray:
     return 0.5 * (d + d.T)
 
 
-def _woodbury_solve(model: FactorModel, rhs: np.ndarray) -> np.ndarray:
-    """Delta^-1 rhs for an (N, R) right-hand side via the Woodbury identity.
+def _woodbury_terms(model: FactorModel):
+    """(d_inv, left, core) with Delta^-1 = diag(d_inv) - left core^-1 Phi left^T.
 
-    Uses (D + U Phi U^T)^-1 = D^-1 - D^-1 U (I + Phi U^T D^-1 U)^-1 Phi U^T D^-1,
-    which stays valid for singular (PSD) Phi.
+    The Woodbury identity (D + U Phi U^T)^-1 = D^-1 - D^-1 U (I + Phi U^T
+    D^-1 U)^-1 Phi U^T D^-1 stays valid for singular (PSD) Phi; left is
+    D^-1 Omega. core is None when K = 0.
     """
     xi2 = model.specific_risk ** 2
     if np.any(xi2 == 0):
         raise SingularSpecificRisk("zero specific risk; dense form may be singular")
     d_inv = 1.0 / xi2
-    d_inv_rhs = d_inv[:, None] * rhs
     if model.n_factors == 0:
-        return d_inv_rhs
+        return d_inv, None, None
     omega = model.loadings
-    phi = model.fcm
-    core = np.eye(model.n_factors) + phi @ (omega.T * d_inv) @ omega
+    core = np.eye(model.n_factors) + model.fcm @ (omega.T * d_inv) @ omega
     cond = np.linalg.cond(core)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditioned(f"inner system condition estimate {cond:.3g}")
-    left = omega * d_inv[:, None]
-    middle = np.linalg.solve(core, phi @ (left.T @ rhs))
-    return d_inv_rhs - left @ middle
+    return d_inv, omega * d_inv[:, None], core
+
+
+def _woodbury_solve(model: FactorModel, rhs: np.ndarray) -> np.ndarray:
+    """Delta^-1 rhs for an (N, R) right-hand side."""
+    d_inv, left, core = _woodbury_terms(model)
+    d_inv_rhs = d_inv[:, None] * rhs
+    if core is None:
+        return d_inv_rhs
+    return d_inv_rhs - left @ np.linalg.solve(core, model.fcm @ (left.T @ rhs))
 
 
 def invert(model: FactorModel) -> np.ndarray:
-    """Inverse of the dense form: Delta^-1 applied to the identity."""
-    inv = _woodbury_solve(model, np.eye(model.n_assets))
+    """Inverse of the dense form, D^-1 - left (core^-1 Phi) left^T."""
+    d_inv, left, core = _woodbury_terms(model)
+    inv = np.diag(d_inv)
+    if core is not None:
+        inv -= (left @ np.linalg.solve(core, model.fcm)) @ left.T
     return 0.5 * (inv + inv.T)
 
 

@@ -214,6 +214,21 @@ def _offdiag_frobenius(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(diff))
 
 
+def _split_scms(panel: ReturnsPanel, split: float):
+    """(n_train, n_test, train SCM, test SCM, demeaned test panel) of a split."""
+    if not 0.0 < split < 1.0:
+        raise SplitTooSmall(f"split must be in (0, 1), got {split}")
+    t = panel.n_obs
+    n_train = int(round(split * t))
+    n_test = t - n_train
+    if n_train < 2 or n_test < 2:
+        raise SplitTooSmall("both segments need at least 2 observations")
+    train = ReturnsPanel(panel.returns[:, :n_train], panel.asset_ids)
+    test_demeaned = demean(ReturnsPanel(panel.returns[:, n_train:], panel.asset_ids))
+    return (n_train, n_test, sample_covariance(demean(train)),
+            sample_covariance(test_demeaned), test_demeaned)
+
+
 def stability_experiment(
     panel: ReturnsPanel,
     split: float,
@@ -228,19 +243,7 @@ def stability_experiment(
     realized variance of the train-fitted minimum-variance weights over
     the test segment. Non-invertible fits are recorded, not raised.
     """
-    if not 0.0 < split < 1.0:
-        raise SplitTooSmall(f"split must be in (0, 1), got {split}")
-    t = panel.n_obs
-    n_train = int(round(split * t))
-    n_test = t - n_train
-    if n_train < 2 or n_test < 2:
-        raise SplitTooSmall("both segments need at least 2 observations")
-
-    train = ReturnsPanel(panel.returns[:, :n_train], panel.asset_ids)
-    test = ReturnsPanel(panel.returns[:, n_train:], panel.asset_ids)
-    scm_train = sample_covariance(demean(train))
-    test_demeaned = demean(test)
-    scm_test = sample_covariance(test_demeaned)
+    n_train, n_test, scm_train, scm_test, test_demeaned = _split_scms(panel, split)
     spectral_train = spectral_decompose(scm_train)
     spectral_test = spectral_decompose(scm_test)
     pc_overlap = float(abs(spectral_train.components[0] @ spectral_test.components[0]))
@@ -280,18 +283,23 @@ def grid_search_q(
 ) -> float:
     """Pick the grid q with the lowest out-of-sample off-diagonal error.
 
-    Ties go to the larger q (more regularization).
+    The error of each q is stability_experiment's out_of_sample_error of
+    shrink(q, target_kind), computed from the two segment SCMs alone: no
+    decomposition, factor model or weights. Ties go to the larger q
+    (more regularization).
     """
     if not grid:
         raise InvalidSpec("empty q grid")
     for q in grid:
         if not 0.0 <= q <= 1.0:
             raise InvalidSpec(f"grid value {q} outside [0, 1]")
-    methods = [
-        MethodConfig(kind="shrink", q=q, target_kind=target_kind) for q in grid
+    _, _, scm_train, scm_test, _ = _split_scms(panel, split)
+    target = build_target(scm_train, target_kind)
+    errors = [
+        _offdiag_frobenius(shrink_dense(scm_train, ShrinkageSpec(q=q, target=target)),
+                           scm_test.c)
+        for q in grid
     ]
-    report = stability_experiment(panel, split, methods)
-    errors = [r.out_of_sample_error for r in report.records]
     best = min(
         range(len(grid)),
         key=lambda i: (errors[i], -grid[i]),

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -307,6 +310,19 @@ MATRIX_CSV = st.one_of(
     st.text(max_size=40),
 )
 EXIT_CODES = {0, 1, 2, 3}
+
+
+def test_overflowing_matrix_reports_one_line(tmp_path):
+    # a real process, so numpy warnings reach stderr as a user would see them
+    big = tmp_path / "big.csv"
+    big.write_text("1.7e308,1.7e308\n1.7e308,1.7e308\n")
+    src = pathlib.Path(cr.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "covreg.cli", "spectral", "-i", str(big)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: covariance has non-finite entries\n"
 
 
 def assert_clean_exit(code, err):

@@ -106,3 +106,62 @@ class TestSpectralDecompose:
 def test_asymmetric_matrix_rejected():
     with pytest.raises(ValidationError):
         SampleCovariance(c=np.array([[1.0, 0.2], [0.1, 1.0]]), n_obs_minus_one=5)
+
+
+def _one_factor(rng, n, t):
+    beta = rng.uniform(0.5, 1.5, n)
+    return beta[:, None] * rng.standard_normal(t) + rng.standard_normal((n, t))
+
+
+def _near_duplicates(rng, pairs, t):
+    base = np.repeat(rng.standard_normal((pairs, t)), 2, axis=0)
+    return base + 1e-6 * rng.standard_normal((2 * pairs, t))
+
+
+def _spread_variances(rng, n, t):
+    """Variances log-spaced from 1e-8 to 1e4."""
+    return rng.standard_normal((n, t)) * np.sqrt(np.logspace(-8, 4, n))[:, None]
+
+
+WIDE_PANELS = {
+    "small": lambda rng: rng.standard_normal((12, 5)),
+    "n_much_larger_than_m": lambda rng: rng.standard_normal((2000, 6)),
+    "near_duplicate_pairs": lambda rng: _near_duplicates(rng, 150, 60),
+    "variance_spread": lambda rng: _spread_variances(rng, 400, 100),
+    "one_factor": lambda rng: _one_factor(rng, 1000, 250),
+}
+
+
+class TestThinSvdPath:
+    """A wide panel's thin SVD against eigh of the same C (the oracle)."""
+
+    @pytest.mark.parametrize("n, t, wide", [(10, 5, True), (10, 6, False)])
+    def test_root_kept_only_when_wide(self, rng, n, t, wide):
+        scm = cr.sample_covariance(random_demeaned(rng, n, t))
+        assert (scm.root is not None) == wide
+
+    def test_from_matrix_has_no_root(self):
+        assert SampleCovariance.from_matrix(np.eye(3)).root is None
+
+    @pytest.mark.parametrize("make", WIDE_PANELS.values(), ids=WIDE_PANELS.keys())
+    def test_agrees_with_eigh(self, rng, make):
+        x = panel_from(make(rng))
+        scm = cr.sample_covariance(x)
+        assert scm.root is not None
+        svd = spectral_decompose(scm)
+        eigh = spectral_decompose(SampleCovariance(c=scm.c, n_obs_minus_one=scm.n_obs_minus_one))
+        lam_max = eigh.eigenvalues[0]
+        assert svd.n_positive == eigh.n_positive <= x.n_obs - 1
+        assert svd.quasi_null_threshold == pytest.approx(eigh.quasi_null_threshold, rel=1e-12)
+        assert np.abs(svd.eigenvalues - eigh.eigenvalues).max() <= 1e-12 * lam_max
+        gram = svd.components @ svd.components.T
+        assert np.abs(gram - np.eye(svd.n_positive)).max() <= 1e-12
+        for row in svd.components:
+            assert row[np.argmax(np.abs(row))] > 0
+        if x.n_assets <= 20:
+            np.testing.assert_allclose(
+                svd.reconstruct(), brute_force_covariance(x.x), rtol=0, atol=1e-12
+            )
+        else:
+            err = np.linalg.norm(svd.reconstruct() - scm.c)
+            assert err <= 1e-12 * np.linalg.norm(scm.c)

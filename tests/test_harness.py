@@ -226,3 +226,32 @@ class TestGridSearch:
         panel = cr.generate_panel(cr.SyntheticSpec(n_assets=5, n_obs=20, seed=1))
         with pytest.raises(InvalidSpec):
             cr.grid_search_q(panel, "diagonal", [0.5, 1.5], 0.5)
+
+    @pytest.mark.parametrize("target_kind", ["diagonal", "constant_correlation"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_stability_argmin(self, seed, target_kind):
+        # the grid scores q from the segment SCMs; stability_experiment fits
+        # the full models: both must rank q the same, ties to the larger q
+        grid = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
+        panel = cr.generate_panel(cr.SyntheticSpec(
+            n_assets=12, n_obs=4 + 9 * seed, generator="one_factor", seed=seed))
+        methods = [MethodConfig(kind="shrink", q=q, target_kind=target_kind) for q in grid]
+        errors = [r.out_of_sample_error
+                  for r in cr.stability_experiment(panel, 0.5, methods).records]
+        best = min(range(len(grid)), key=lambda i: (errors[i], -grid[i]))
+        assert cr.grid_search_q(panel, target_kind, grid, 0.5) == grid[best]
+
+    def test_fits_no_model(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(harness, name, wrapper)
+
+        counting("spectral_decompose", spectral_decompose)
+        counting("min_variance_weights", harness.min_variance_weights)
+        panel = cr.generate_panel(cr.SyntheticSpec(n_assets=6, n_obs=30, seed=9))
+        cr.grid_search_q(panel, "constant_correlation", [0.0, 0.5, 1.0], 0.5)
+        assert calls == []

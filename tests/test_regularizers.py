@@ -158,9 +158,12 @@ class TestShrinkDense:
 
 
 class TestShrinkAsFactorModel:
-    @pytest.mark.parametrize("q", [0.0, 0.25, 0.5, 0.75, 1.0])
-    def test_central_identity_diagonal_target(self, rng, q):
-        scm = random_scm(rng, 8, 5)  # singular SCM, the interesting case
+    @pytest.mark.parametrize("q, n, t", [
+        *(pytest.param(q, 8, 5, id=str(q)) for q in (0.0, 0.25, 0.5, 0.75, 1.0)),
+        pytest.param(0.5, 40, 12, id="wide-0.5"),  # T <= N/2: thin-SVD path
+    ])
+    def test_central_identity_diagonal_target(self, rng, q, n, t):
+        scm = random_scm(rng, n, t)  # singular SCM, the interesting case
         spectral = cr.spectral_decompose(scm)
         spec = cr.ShrinkageSpec(q=q, target=cr.diagonal_target(scm))
         direct = cr.shrink_dense(scm, spec)
@@ -248,8 +251,9 @@ class TestTruncatedPC:
             cr.dense(model.base), cr.dense(target), atol=1e-8
         )
 
-    def test_diagonal_preserved_midway(self, rng):
-        x = rng.standard_normal((5, 40))
+    @pytest.mark.parametrize("shape", [(5, 40), (40, 12)], ids=["tall", "wide"])
+    def test_diagonal_preserved_midway(self, rng, shape):
+        x = rng.standard_normal(shape)
         scm = cr.sample_covariance(
             cr.DemeanedPanel(x - x.mean(axis=1, keepdims=True))
         )
