@@ -122,11 +122,11 @@ def build_target(scm: SampleCovariance, kind: str, rho: float | None = None
 def estimate_rho(scm: SampleCovariance) -> float:
     """Mean pairwise correlation, clamped to [0, 0.999]."""
     var = _require_positive_variances(scm)
-    sigma = np.sqrt(var)
-    corr = scm.c / np.outer(sigma, sigma)
+    s = 1.0 / np.sqrt(var)
     n = scm.n_assets
-    # the SCM is exactly symmetric: the off-diagonal mean is the upper triangle's
-    rho = float((corr.sum() - np.trace(corr)) / (n * (n - 1)))
+    # s^T C s sums the correlation matrix without forming it; the SCM is
+    # exactly symmetric, so the off-diagonal mean is the upper triangle's
+    rho = float((s @ scm.c @ s - np.sum(var * s * s)) / (n * (n - 1)))
     return min(max(rho, 0.0), 0.999)
 
 

@@ -76,6 +76,21 @@ def random_matched_target(rng, scm: cr.SampleCovariance, k: int) -> FactorModel:
     )
 
 
+def one_factor_rows(rng, n, t):
+    beta = rng.uniform(0.5, 1.5, n)
+    return beta[:, None] * rng.standard_normal(t) + rng.standard_normal((n, t))
+
+
+def near_duplicate_rows(rng, pairs, t):
+    base = np.repeat(rng.standard_normal((pairs, t)), 2, axis=0)
+    return base + 1e-6 * rng.standard_normal((2 * pairs, t))
+
+
+def spread_variance_rows(rng, n, t):
+    """Variances log-spaced from 1e-8 to 1e4."""
+    return rng.standard_normal((n, t)) * np.sqrt(np.logspace(-8, 4, n))[:, None]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -5,7 +5,8 @@ import covreg as cr
 from covreg.covariance import SampleCovariance, spectral_decompose
 from covreg.errors import NegativeEigenvalueError, ValidationError, ZeroVarianceAsset
 
-from conftest import brute_force_covariance, random_demeaned, random_scm
+from conftest import (brute_force_covariance, near_duplicate_rows, one_factor_rows,
+                      random_demeaned, random_scm, spread_variance_rows)
 
 
 def panel_from(rows):
@@ -108,27 +109,12 @@ def test_asymmetric_matrix_rejected():
         SampleCovariance(c=np.array([[1.0, 0.2], [0.1, 1.0]]), n_obs_minus_one=5)
 
 
-def _one_factor(rng, n, t):
-    beta = rng.uniform(0.5, 1.5, n)
-    return beta[:, None] * rng.standard_normal(t) + rng.standard_normal((n, t))
-
-
-def _near_duplicates(rng, pairs, t):
-    base = np.repeat(rng.standard_normal((pairs, t)), 2, axis=0)
-    return base + 1e-6 * rng.standard_normal((2 * pairs, t))
-
-
-def _spread_variances(rng, n, t):
-    """Variances log-spaced from 1e-8 to 1e4."""
-    return rng.standard_normal((n, t)) * np.sqrt(np.logspace(-8, 4, n))[:, None]
-
-
 WIDE_PANELS = {
     "small": lambda rng: rng.standard_normal((12, 5)),
     "n_much_larger_than_m": lambda rng: rng.standard_normal((2000, 6)),
-    "near_duplicate_pairs": lambda rng: _near_duplicates(rng, 150, 60),
-    "variance_spread": lambda rng: _spread_variances(rng, 400, 100),
-    "one_factor": lambda rng: _one_factor(rng, 1000, 250),
+    "near_duplicate_pairs": lambda rng: near_duplicate_rows(rng, 150, 60),
+    "variance_spread": lambda rng: spread_variance_rows(rng, 400, 100),
+    "one_factor": lambda rng: one_factor_rows(rng, 1000, 250),
 }
 
 

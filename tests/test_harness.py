@@ -4,10 +4,24 @@ import numpy as np
 import pytest
 
 import covreg as cr
-from covreg import harness
+from covreg import harness, regularizers
 from covreg.covariance import spectral_decompose
-from covreg.errors import InvalidSpec, SplitTooSmall
+from covreg.errors import DimensionMismatch, InvalidSpec, SplitTooSmall, ValidationError
+from covreg.factors import dense
 from covreg.harness import MethodConfig
+from covreg.regularizers import TARGET_KINDS, ShrinkageSpec, build_target, shrink_dense
+
+from conftest import near_duplicate_rows, one_factor_rows, spread_variance_rows
+
+CLOSED_FORM_REL = 1e-12  # the expanded square rounds err^2 at eps (q||A|| + ||D||)^2
+
+GRID_PANELS = {
+    "one_factor": lambda rng: one_factor_rows(rng, 200, 120),
+    "n_much_larger_than_m": lambda rng: rng.standard_normal((2000, 6)),
+    "near_duplicate_pairs": lambda rng: near_duplicate_rows(rng, 150, 60),
+    "variance_spread": lambda rng: spread_variance_rows(rng, 400, 100),
+    "tall": lambda rng: one_factor_rows(rng, 30, 400),
+}
 
 
 class TestGeneratePanel:
@@ -151,6 +165,21 @@ class TestStability:
         overlap = report.records[0].leading_pc_overlap
         assert 0.0 <= overlap <= 1.0 + 1e-12
 
+    def test_truth_wrong_shape_rejected(self):
+        panel = cr.generate_panel(cr.SyntheticSpec(n_assets=6, n_obs=30, seed=9))
+        with pytest.raises(DimensionMismatch):
+            cr.stability_experiment(panel, 0.5, [MethodConfig(kind="shrink", q=0.5)],
+                                    truth=np.eye(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_truth_non_finite_rejected(self, bad):
+        panel = cr.generate_panel(cr.SyntheticSpec(n_assets=6, n_obs=30, seed=9))
+        truth = np.eye(6)
+        truth[1, 2] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            cr.stability_experiment(panel, 0.5, [MethodConfig(kind="shrink", q=0.5)],
+                                    truth=truth)
+
     @pytest.mark.parametrize("n_methods", [1, 4])
     def test_one_decomposition_per_segment(self, monkeypatch, n_methods):
         calls = []
@@ -252,6 +281,39 @@ class TestGridSearch:
 
         counting("spectral_decompose", spectral_decompose)
         counting("min_variance_weights", harness.min_variance_weights)
+        counting("shrink_dense", harness.shrink_dense)
         panel = cr.generate_panel(cr.SyntheticSpec(n_assets=6, n_obs=30, seed=9))
         cr.grid_search_q(panel, "constant_correlation", [0.0, 0.5, 1.0], 0.5)
         assert calls == []
+
+    @pytest.mark.parametrize("n_q", [1, 101])
+    def test_one_dense_target_per_grid(self, monkeypatch, n_q):
+        calls = []
+
+        def counting(model):
+            calls.append(model)
+            return dense(model)
+
+        monkeypatch.setattr(harness, "dense", counting)
+        monkeypatch.setattr(regularizers, "dense", counting)
+        panel = cr.generate_panel(cr.SyntheticSpec(n_assets=6, n_obs=30, seed=9))
+        grid = [i / max(n_q - 1, 1) for i in range(n_q)]
+        cr.grid_search_q(panel, "constant_correlation", grid, 0.5)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("target_kind", TARGET_KINDS)
+    @pytest.mark.parametrize("make", GRID_PANELS.values(), ids=GRID_PANELS.keys())
+    def test_closed_form_matches_direct_errors(self, rng, make, target_kind):
+        # oracle: the dense shrunk train SCM against the test SCM, q by q
+        rows = make(rng)
+        panel = cr.ReturnsPanel(rows, tuple(f"A{i}" for i in range(rows.shape[0])))
+        _, _, scm_train, scm_test, _ = harness._split_scms(panel, 0.5)
+        target = build_target(scm_train, target_kind)
+        grid = [i / 10 for i in range(11)]
+        direct = []
+        for q in grid:
+            diff = shrink_dense(scm_train, ShrinkageSpec(q=q, target=target)) - scm_test.c
+            np.fill_diagonal(diff, 0.0)
+            direct.append(np.linalg.norm(diff))
+        closed = harness._grid_errors(scm_train, scm_test, target, grid)
+        np.testing.assert_allclose(closed, direct, rtol=CLOSED_FORM_REL, atol=0)
