@@ -5,13 +5,14 @@ M, not M+1). Eigenvalues within 1e-10 of the largest one from zero are
 treated as quasi-null: rounded to zero and dropped from the
 decomposition, so the retained count is the numerical rank.
 
-A wide panel (T <= N/2 columns) is decomposed by a thin SVD of X in
+A panel's SCM keeps X and forms the dense C only when something reads
+it. A wide panel (T <= N/2 columns) is decomposed by a thin SVD of X in
 O(N T^2); any other SCM by an N x N eigh of C.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,41 +22,83 @@ from .panels import DemeanedPanel
 QUASI_NULL_REL = 1e-10
 
 
-@dataclass(frozen=True)
 class SampleCovariance:
     """Symmetric N x N sample covariance with its denominator.
 
-    root is the demeaned N x T panel X with C = X X^T / n_obs_minus_one,
-    kept only for a wide panel so spectral_decompose can take its thin
-    SVD; None otherwise.
+    Built from a panel, it keeps the demeaned N x T panel x, with
+    C = x x^T / n_obs_minus_one, rejects an asset of zero variance, and
+    forms the dense c only on first read: variances and s^T C s come
+    from x in O(N T). root is x for a wide panel (T <= N/2), which
+    spectral_decompose takes a thin SVD of; None otherwise. Built from a
+    matrix c, it has no x.
     """
 
-    c: np.ndarray
-    n_obs_minus_one: int
-    root: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
+    def __init__(self, c: np.ndarray | None, n_obs_minus_one: int,
+                 x: np.ndarray | None = None):
+        self.n_obs_minus_one, self.x = n_obs_minus_one, x
+        self._c = self._gram_root = None
+        if x is not None:
+            # |C_ij| <= sqrt(C_ii C_jj): finite variances keep all of C finite
+            with np.errstate(over="ignore"):  # an overflow fails the finiteness check
+                self.variances = np.einsum("ij,ij->i", x, x) / n_obs_minus_one
+            self.variances.setflags(write=False)
+            if np.any(self.variances == 0):
+                raise ZeroVarianceAsset("asset with zero sample variance")
+            if not np.all(np.isfinite(self.variances)):
+                raise ValidationError("covariance has non-finite entries")
+            return
+        c = np.asarray(c, dtype=float)
         c.setflags(write=False)
-        object.__setattr__(self, "c", c)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValidationError("covariance must be square")
-        if self.root is not None and self.root.shape[0] != c.shape[0]:
-            raise ValidationError("root must have one row per asset")
         if not np.all(np.isfinite(c)):
             raise ValidationError("covariance has non-finite entries")
         if not np.array_equal(c, c.T):
             raise ValidationError("covariance must be exactly symmetric")
         if np.any(np.diag(c) < 0):
             raise ValidationError("negative variance on the diagonal")
+        self._c, self.variances = c, np.diag(c)
+
+    @property
+    def c(self) -> np.ndarray:
+        if self._c is None:
+            with np.errstate(over="ignore"):
+                c = (self.x @ self.x.T) / self.n_obs_minus_one
+            c = 0.5 * (c + c.T)  # exact symmetry; BLAS product is only near-symmetric
+            np.fill_diagonal(c, self.variances)
+            c.setflags(write=False)
+            self._c = c
+        return self._c
 
     @property
     def n_assets(self) -> int:
-        return self.c.shape[0]
+        return self.variances.shape[0]
 
     @property
-    def variances(self) -> np.ndarray:
-        return np.diag(self.c)
+    def root(self) -> np.ndarray | None:
+        x = self.x
+        return x if x is not None and 2 * x.shape[1] <= x.shape[0] else None
+
+    @property
+    def gram_root(self) -> np.ndarray:
+        """R with C = R R^T / n_obs_minus_one and at most N columns.
+
+        x itself when T <= N, else the N x N factor of a QR of x^T, so
+        products of roots cost O(N min(N, T)^2). Needs x.
+        """
+        if self.x is None:
+            raise ValidationError("an SCM built from a matrix has no panel root")
+        if self._gram_root is None:
+            x = self.x
+            self._gram_root = x if x.shape[1] <= x.shape[0] else np.linalg.qr(x.T, mode="r").T
+        return self._gram_root
+
+    def quadratic_form(self, s: np.ndarray) -> float:
+        """s^T C s, as ||x^T s||^2 / M when x is kept."""
+        if self.x is None:
+            return float(s @ self._c @ s)
+        y = s @ self.x
+        return float(y @ y) / self.n_obs_minus_one
 
     @classmethod
     def from_matrix(cls, c: np.ndarray) -> "SampleCovariance":
@@ -109,16 +152,11 @@ class SpectralDecomposition:
 
 
 def sample_covariance(x: DemeanedPanel) -> SampleCovariance:
-    """C_ij = (1/M) sum_s x_is x_js; keeps X as the root when T <= N/2."""
+    """C_ij = (1/M) sum_s x_is x_js, kept as x; c is formed on first read."""
     m = x.n_obs - 1
     if m < 1:
         raise ValidationError("need at least 2 observations")
-    c = (x.x @ x.x.T) / m
-    c = 0.5 * (c + c.T)  # exact symmetry; BLAS product is only near-symmetric
-    if np.any(np.diag(c) == 0):
-        raise ZeroVarianceAsset("asset with zero sample variance")
-    wide = 2 * x.n_obs <= x.n_assets
-    return SampleCovariance(c=c, n_obs_minus_one=m, root=x.x if wide else None)
+    return SampleCovariance(c=None, n_obs_minus_one=m, x=x.x)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:

@@ -14,14 +14,13 @@ from .covariance import (SampleCovariance, SpectralDecomposition, sample_covaria
                          spectral_decompose)
 from .errors import (DimensionMismatch, IllConditioned, InvalidSpec, SingularSpecificRisk,
                      SplitTooSmall, ValidationError)
-from .factors import FactorModel, dense, min_variance_weights
+from .factors import FactorModel, min_variance_weights
 from .panels import ReturnsPanel, demean
 from .regularizers import (
     TARGET_KINDS,
     ShrinkageSpec,
     build_target,
     shrink_as_factor_model,
-    shrink_dense,
     truncated_pc_model,
 )
 
@@ -167,14 +166,28 @@ class MethodConfig:
 
 
 def estimate_method(scm: SampleCovariance, spectral: SpectralDecomposition,
-                    cfg: MethodConfig) -> tuple[np.ndarray, FactorModel]:
-    """Fit one method on an SCM and its decomposition; returns (dense, factor model)."""
+                    cfg: MethodConfig) -> tuple[FactorModel, list, list]:
+    """Fit one method on an SCM and its decomposition.
+
+    Returns (factor model, fit, in_sample): lists of (coefficient, basis)
+    terms for _OffdiagGram whose sums have the off-diagonal of the fitted
+    matrix and of its difference from C. The difference keeps only the
+    terms that do not cancel: q (T - C) for shrink, the nu-rescaled
+    target minus the dropped-PC part for truncated-PC.
+    """
     target = build_target(scm, cfg.target_kind, cfg.rho)
     if cfg.kind == "truncated_pc":
         model = truncated_pc_model(scm, spectral, target, cfg.f_hat).base
-        return dense(model), model
+        rescaled = _LowRank.of(model.loadings[:, :target.n_factors], target.fcm)
+        f = cfg.f_hat
+        kept = _LowRank(spectral.components[:f].T, spectral.eigenvalues[:f])
+        dropped = _LowRank(spectral.components[f:].T, spectral.eigenvalues[f:])
+        return model, [(1.0, rescaled), (1.0, kept)], [(1.0, rescaled), (-1.0, dropped)]
     spec = ShrinkageSpec(q=cfg.q, target=target)
-    return shrink_dense(scm, spec), shrink_as_factor_model(spectral, spec).base
+    spec.validate_against(scm)
+    loading, q = _LowRank.of(target.loadings, target.fcm), cfg.q
+    return (shrink_as_factor_model(spectral, spec).base,
+            [(q, loading), (1.0 - q, scm)], [(q, loading), (-q, scm)])
 
 
 @dataclass(frozen=True)
@@ -209,10 +222,75 @@ class StabilityReport:
         return "\n".join(lines)
 
 
-def _offdiag_frobenius(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a - b
-    np.fill_diagonal(diff, 0.0)
-    return float(np.linalg.norm(diff))
+class _LowRank:
+    """B = W diag(s) W^T with W N x r, and its diagonal h."""
+
+    def __init__(self, w: np.ndarray, s: np.ndarray, h: np.ndarray | None = None):
+        self.w, self.s = w, s
+        self.h = (w * w) @ s if h is None else h
+
+    @classmethod
+    def of(cls, loadings: np.ndarray, fcm: np.ndarray) -> "_LowRank":
+        """Omega Phi Omega^T, through the eigenpairs of the K x K Phi."""
+        s, u = np.linalg.eigh(fcm)
+        return cls(loadings @ u, s)
+
+
+def _form(basis):
+    """A SampleCovariance as the _LowRank form R diag(1/M) R^T of its gram_root R."""
+    if isinstance(basis, SampleCovariance):
+        r = basis.gram_root
+        return _LowRank(r, np.full(r.shape[1], 1.0 / basis.n_obs_minus_one), basis.variances)
+    return basis
+
+
+class _OffdiagGram:
+    """Gamma_ab = <offdiag B_a, offdiag B_b>_F over the bases of one run.
+
+    A basis is a _LowRank form, a SampleCovariance or a dense N x N array
+    (the truth). For two forms, Gamma_ab = s_a^T (P o P) s_b - h_a . h_b
+    with P = W_a^T W_b, in O(N r_a r_b); the truth enters through
+    truth @ W_a, the only O(N^2) step. Each entry is computed once and
+    kept with its bases, so their ids stay unique.
+    """
+
+    def __init__(self):
+        self._entries = {}
+
+    def entry(self, a, b) -> float:
+        key = (id(a), id(b))
+        if key not in self._entries:
+            fa, fb = _form(a), _form(b)
+            if isinstance(fa, np.ndarray):
+                fa, fb = fb, fa
+            if isinstance(fa, np.ndarray):
+                value = np.vdot(fa, fb) - np.diag(fa) @ np.diag(fb)
+            elif isinstance(fb, np.ndarray):
+                value = np.einsum("ij,ij->j", fb @ fa.w, fa.w) @ fa.s - fa.h @ np.diag(fb)
+            else:
+                p = fa.w.T @ fb.w
+                value = fa.s @ (p * p) @ fb.s - fa.h @ fb.h
+            self._entries[key] = self._entries[key[::-1]] = (a, b, float(value))
+        return self._entries[key][2]
+
+    def matrix(self, bases: list) -> np.ndarray:
+        return np.array([[self.entry(a, b) for b in bases] for a in bases])
+
+    def norm(self, terms: list) -> float:
+        """||offdiag(sum c_a B_a)||_F = sqrt(max(c^T Gamma c, 0)) of (c_a, B_a) terms.
+
+        err^2 is rounded with an absolute error of order
+        eps sum |c_a c_b Gamma_ab|.
+        """
+        coef = np.array([c for c, _ in terms])
+        return float(np.sqrt(max(coef @ self.matrix([b for _, b in terms]) @ coef, 0.0)))
+
+
+def _leading_pc(scm: SampleCovariance) -> np.ndarray:
+    """Unit leading PC of scm, R u / ||R u|| for the top eigenvector u of R^T R."""
+    r = scm.gram_root
+    v = r @ np.linalg.eigh(r.T @ r)[1][:, -1]
+    return v / np.linalg.norm(v)
 
 
 def _split_scms(panel: ReturnsPanel, split: float):
@@ -243,7 +321,9 @@ def stability_experiment(
     test-segment SCMs (and to the truth matrix when supplied), plus the
     realized variance of the train-fitted minimum-variance weights over
     the test segment. Non-invertible fits are recorded, not raised.
-    truth, when given, must be a finite N x N matrix.
+    truth, when given, must be a finite N x N matrix. The errors come
+    from _OffdiagGram, so no dense estimate or N x N difference is built;
+    the leading-PC overlap reads the test segment's top PC off its root.
     """
     if truth is not None:
         truth = np.asarray(truth, dtype=float)
@@ -254,15 +334,15 @@ def stability_experiment(
             raise ValidationError("truth has non-finite entries")
     n_train, n_test, scm_train, scm_test, test_demeaned = _split_scms(panel, split)
     spectral_train = spectral_decompose(scm_train)
-    spectral_test = spectral_decompose(scm_test)
-    pc_overlap = float(abs(spectral_train.components[0] @ spectral_test.components[0]))
+    pc_overlap = float(abs(spectral_train.components[0] @ _leading_pc(scm_test)))
 
+    gram = _OffdiagGram()
     records = []
     for cfg in methods:
-        est, model = estimate_method(scm_train, spectral_train, cfg)
-        in_err = _offdiag_frobenius(est, scm_train.c)
-        out_err = _offdiag_frobenius(est, scm_test.c)
-        truth_err = _offdiag_frobenius(est, truth) if truth is not None else None
+        model, fit, in_sample = estimate_method(scm_train, spectral_train, cfg)
+        in_err = gram.norm(in_sample)
+        out_err = gram.norm(fit + [(-1.0, scm_test)])
+        truth_err = gram.norm(fit + [(-1.0, truth)]) if truth is not None else None
         try:
             w = min_variance_weights(model)
             test_returns = w @ test_demeaned.x
@@ -288,14 +368,11 @@ def _grid_errors(scm_train: SampleCovariance, scm_test: SampleCovariance,
                  target: FactorModel, grid: list[float]) -> np.ndarray:
     """grid_search_q's closed-form error of shrink(q, target), one per grid q."""
     ShrinkageSpec(q=0.0, target=target).validate_against(scm_train)
-    a = dense(target)
-    a -= scm_train.c
-    np.fill_diagonal(a, 0.0)
-    d = scm_train.c - scm_test.c
-    np.fill_diagonal(d, 0.0)
-    aa, ad, dd = np.vdot(a, a), np.vdot(a, d), np.vdot(d, d)
+    gamma = _OffdiagGram().matrix([_LowRank.of(target.loadings, target.fcm),
+                                   scm_train, scm_test])
     q = np.asarray(grid, dtype=float)
-    return np.sqrt(np.maximum(q * q * aa + 2.0 * q * ad + dd, 0.0))
+    coef = np.stack([q, 1.0 - q, -np.ones_like(q)])
+    return np.sqrt(np.maximum(np.einsum("iq,ij,jq->q", coef, gamma, coef), 0.0))
 
 
 def grid_search_q(
@@ -308,14 +385,15 @@ def grid_search_q(
 
     The error of q is stability_experiment's out_of_sample_error of
     shrink(q, target_kind), ||offdiag(q T + (1-q) C_1 - C_2)||_F with T
-    the target fitted on the train SCM C_1 and C_2 the test SCM. It is
-    computed in closed form from A = offdiag(T - C_1) and D = offdiag(C_1
-    - C_2): err(q) = sqrt(max(q^2 <A,A> + 2q <A,D> + <D,D>, 0)), so the
-    whole grid costs one dense target and three inner products, with no
-    decomposition, factor model or weights. The expanded square rounds
-    err^2 with an absolute error of order eps (q ||A|| + ||D||)^2, which
-    is relative only where the error is not much smaller than
-    q ||A|| + ||D||. Ties go to the larger q (more regularization).
+    the target fitted on the train SCM C_1 and C_2 the test SCM. With
+    Gamma the 3 x 3 off-diagonal Gram of the target's loading part and
+    the two segment SCMs (_OffdiagGram, built from the segment roots, no
+    N x N matrix) and c(q) = (q, 1 - q, -1), err(q) = sqrt(max(c^T Gamma
+    c, 0)): the whole grid costs one Gram, with no decomposition, factor
+    model or weights. err^2 is rounded with an absolute error of order
+    eps sum |c_a c_b Gamma_ab|, which is relative only where the error is
+    not much smaller than q ||T|| + ||C_1|| + ||C_2||. Ties go to the
+    larger q (more regularization).
     """
     if not grid:
         raise InvalidSpec("empty q grid")

@@ -126,7 +126,7 @@ def estimate_rho(scm: SampleCovariance) -> float:
     n = scm.n_assets
     # s^T C s sums the correlation matrix without forming it; the SCM is
     # exactly symmetric, so the off-diagonal mean is the upper triangle's
-    rho = float((s @ scm.c @ s - np.sum(var * s * s)) / (n * (n - 1)))
+    rho = float((scm.quadratic_form(s) - np.sum(var * s * s)) / (n * (n - 1)))
     return min(max(rho, 0.0), 0.999)
 
 

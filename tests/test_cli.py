@@ -325,6 +325,26 @@ def test_overflowing_matrix_reports_one_line(tmp_path):
     assert proc.stderr == "error: covariance has non-finite entries\n"
 
 
+@pytest.mark.parametrize("argv", [["scm"], ["truncate", "--f-hat", "1"],
+                                  ["eval", "--method", "shrink,q=0.5"]],
+                         ids=["scm", "truncate", "eval"])
+@pytest.mark.parametrize("shape", [(40, 12), (5, 40)], ids=["wide", "tall"])
+def test_overflowing_panel_reports_one_line(tmp_path, argv, shape):
+    # squares of cells near 1e160 overflow: the variances taken from X catch it
+    n, t = shape
+    rows = np.random.default_rng(5).standard_normal((n, t)) * 1e160
+    big = tmp_path / "big.csv"
+    big.write_text("\n".join(f"A{i}," + ",".join(map(repr, row))
+                             for i, row in enumerate(rows.tolist())) + "\n")
+    src = pathlib.Path(cr.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "covreg.cli", *argv, "--no-header", "-i", str(big)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: covariance has non-finite entries\n"
+
+
 def assert_clean_exit(code, err):
     assert code in EXIT_CODES
     assert "Traceback" not in err

@@ -104,6 +104,45 @@ class TestSpectralDecompose:
         assert a.n_positive == b.n_positive
 
 
+class TestPanelRoot:
+    """A panel-built SCM keeps X; c is formed only when read."""
+
+    @pytest.mark.parametrize("n, t", [(12, 5), (5, 12)], ids=["wide", "tall"])
+    def test_c_formed_on_first_read(self, rng, n, t):
+        x = random_demeaned(rng, n, t)
+        scm = cr.sample_covariance(x)
+        assert scm._c is None
+        oracle = brute_force_covariance(x.x)
+        np.testing.assert_allclose(scm.variances, np.diag(oracle), rtol=1e-14, atol=0)
+        s = rng.uniform(0.5, 2.0, n)
+        assert scm.quadratic_form(s) == pytest.approx(s @ oracle @ s, rel=1e-12)
+        assert scm._c is None
+        np.testing.assert_allclose(scm.c, oracle, rtol=0, atol=1e-12)
+        assert np.array_equal(np.diag(scm.c), scm.variances)
+        assert scm.c is scm.c
+
+    @pytest.mark.parametrize("n, t", [(12, 5), (5, 12)], ids=["wide", "tall"])
+    def test_gram_root(self, rng, n, t):
+        x = random_demeaned(rng, n, t)
+        scm = cr.sample_covariance(x)
+        r = scm.gram_root
+        assert r.shape == (n, min(n, t))
+        np.testing.assert_allclose(r @ r.T / scm.n_obs_minus_one,
+                                   brute_force_covariance(x.x), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, t", [(12, 5), (5, 12)], ids=["wide", "tall"])
+    def test_zero_variance_asset_rejected_without_c(self, rng, n, t, monkeypatch):
+        rows = rng.standard_normal((n, t))
+        rows[2] = 3.0
+        monkeypatch.setattr(SampleCovariance, "c", property(lambda self: pytest.fail("c read")))
+        with pytest.raises(ZeroVarianceAsset):
+            cr.sample_covariance(panel_from(rows))
+
+    def test_from_matrix_has_no_panel_root(self):
+        with pytest.raises(ValidationError):
+            SampleCovariance.from_matrix(np.eye(3)).gram_root
+
+
 def test_asymmetric_matrix_rejected():
     with pytest.raises(ValidationError):
         SampleCovariance(c=np.array([[1.0, 0.2], [0.1, 1.0]]), n_obs_minus_one=5)

@@ -1,19 +1,24 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import covreg as cr
-from covreg import harness, regularizers
+from covreg import factors, harness, regularizers
 from covreg.covariance import spectral_decompose
 from covreg.errors import DimensionMismatch, InvalidSpec, SplitTooSmall, ValidationError
 from covreg.factors import dense
 from covreg.harness import MethodConfig
-from covreg.regularizers import TARGET_KINDS, ShrinkageSpec, build_target, shrink_dense
+from covreg.regularizers import (TARGET_KINDS, ShrinkageSpec, build_target, shrink_dense,
+                                 truncated_pc_model)
 
 from conftest import near_duplicate_rows, one_factor_rows, spread_variance_rows
 
 CLOSED_FORM_REL = 1e-12  # the expanded square rounds err^2 at eps (q||A|| + ||D||)^2
+RECORD_REL = 1e-11  # Gram-form records against dense direct norms
+IN_SAMPLE_REL = 1e-12  # shrink in-sample error against q ||offdiag(T - C_1)||
+PC_REL = 1e-12  # leading PC from the root's Gram against the full decomposition
 
 GRID_PANELS = {
     "one_factor": lambda rng: one_factor_rows(rng, 200, 120),
@@ -198,7 +203,74 @@ class TestStability:
         ]
         report = cr.stability_experiment(panel, 0.5, methods[:n_methods])
         assert len(report.records) == n_methods
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+
+def offdiag_norm(a):
+    a = a.copy()
+    np.fill_diagonal(a, 0.0)
+    return float(np.linalg.norm(a))
+
+
+class TestGramRecords:
+    """Records from the segment roots against dense direct-norm oracles."""
+
+    @pytest.mark.parametrize("make", GRID_PANELS.values(), ids=GRID_PANELS.keys())
+    def test_records_match_dense_oracle(self, rng, make):
+        rows = make(rng)
+        n = rows.shape[0]
+        panel = cr.ReturnsPanel(rows, tuple(f"A{i}" for i in range(n)))
+        truth = np.cov(rows) + 0.1 * np.diag(np.cov(rows).diagonal())
+        _, _, scm_train, scm_test, _ = harness._split_scms(panel, 0.5)
+        spectral = spectral_decompose(scm_train)
+        methods = [MethodConfig(kind="shrink", q=q, target_kind=kind)
+                   for kind in TARGET_KINDS for q in (1e-6, 0.01, 0.5, 1.0)]
+        methods += [MethodConfig(kind="truncated_pc", f_hat=f, target_kind=kind)
+                    for kind in TARGET_KINDS for f in (1, spectral.n_positive - 1)]
+        report = cr.stability_experiment(panel, 0.5, methods, truth=truth)
+        targets = {kind: build_target(scm_train, kind) for kind in TARGET_KINDS}
+        gaps = {kind: offdiag_norm(dense(t) - scm_train.c) for kind, t in targets.items()}
+        for cfg, rec in zip(methods, report.records):
+            target = targets[cfg.target_kind]
+            if cfg.kind == "shrink":
+                est = shrink_dense(scm_train, ShrinkageSpec(q=cfg.q, target=target))
+                in_err = cfg.q * gaps[cfg.target_kind]
+                assert rec.in_sample_error == pytest.approx(in_err, rel=IN_SAMPLE_REL, abs=0)
+            else:
+                est = dense(truncated_pc_model(scm_train, spectral, target, cfg.f_hat).base)
+                in_err = offdiag_norm(est - scm_train.c)
+                assert rec.in_sample_error == pytest.approx(in_err, rel=RECORD_REL, abs=0)
+            out_err = offdiag_norm(est - scm_test.c)
+            assert rec.out_of_sample_error == pytest.approx(out_err, rel=RECORD_REL, abs=0)
+            assert rec.truth_error == pytest.approx(offdiag_norm(est - truth), rel=RECORD_REL, abs=0)
+
+    @pytest.mark.parametrize("n, t", [(300, 61), (20, 201)], ids=["wide", "tall"])
+    def test_leading_pc_matches_full_decomposition(self, rng, n, t):
+        panel = cr.ReturnsPanel(one_factor_rows(rng, n, t), tuple(f"A{i}" for i in range(n)))
+        _, _, _, scm_test, _ = harness._split_scms(panel, 0.5)
+        full = spectral_decompose(scm_test).components[0]
+        v = harness._leading_pc(scm_test)
+        assert min(np.abs(v - full).max(), np.abs(v + full).max()) <= PC_REL
+
+    def test_wide_fit_allocates_no_n_by_n_array(self):
+        # the segment SCMs, targets, errors and weights all stay in factor form
+        n, t = 4000, 121
+        panel = cr.ReturnsPanel(one_factor_rows(np.random.default_rng(3), n, t),
+                                tuple(f"A{i}" for i in range(n)))
+        methods = [
+            MethodConfig(kind="scm_ridge"),
+            MethodConfig(kind="shrink", q=0.5),
+            MethodConfig(kind="shrink", q=0.5, target_kind="constant_correlation"),
+            MethodConfig(kind="truncated_pc", f_hat=1),
+        ]
+        tracemalloc.start()
+        try:
+            cr.grid_search_q(panel, "constant_correlation", [i / 10 for i in range(11)], 0.5)
+            cr.stability_experiment(panel, 0.5, methods)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
 
 class TestMethodConfig:
@@ -273,15 +345,16 @@ class TestGridSearch:
     def test_fits_no_model(self, monkeypatch):
         calls = []
 
-        def counting(name, fn):
+        def counting(module, name, fn):
             def wrapper(*args):
                 calls.append(name)
                 return fn(*args)
-            monkeypatch.setattr(harness, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper, raising=False)
 
-        counting("spectral_decompose", spectral_decompose)
-        counting("min_variance_weights", harness.min_variance_weights)
-        counting("shrink_dense", harness.shrink_dense)
+        counting(harness, "spectral_decompose", spectral_decompose)
+        counting(harness, "min_variance_weights", harness.min_variance_weights)
+        for module in (harness, regularizers):
+            counting(module, "shrink_dense", regularizers.shrink_dense)
         panel = cr.generate_panel(cr.SyntheticSpec(n_assets=6, n_obs=30, seed=9))
         cr.grid_search_q(panel, "constant_correlation", [0.0, 0.5, 1.0], 0.5)
         assert calls == []
@@ -294,12 +367,12 @@ class TestGridSearch:
             calls.append(model)
             return dense(model)
 
-        monkeypatch.setattr(harness, "dense", counting)
-        monkeypatch.setattr(regularizers, "dense", counting)
+        for module in (factors, regularizers, harness):
+            monkeypatch.setattr(module, "dense", counting, raising=False)
         panel = cr.generate_panel(cr.SyntheticSpec(n_assets=6, n_obs=30, seed=9))
         grid = [i / max(n_q - 1, 1) for i in range(n_q)]
         cr.grid_search_q(panel, "constant_correlation", grid, 0.5)
-        assert len(calls) == 1
+        assert calls == []
 
     @pytest.mark.parametrize("target_kind", TARGET_KINDS)
     @pytest.mark.parametrize("make", GRID_PANELS.values(), ids=GRID_PANELS.keys())
