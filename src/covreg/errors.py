@@ -51,7 +51,12 @@ class SingularSpecificRisk(NumericalError):
 
 
 class IllConditioned(NumericalError):
-    pass
+    """A factor-model solve whose Woodbury core may be too ill conditioned.
+
+    Raised when 1 + sum_i (Omega Phi Omega^T)_ii / xi_i^2, an upper bound
+    on the condition number of the symmetric core I + B^T D^-1 B, is not
+    finite or exceeds factors.COND_LIMIT.
+    """
 
 
 # --- regularizers ---

@@ -1,8 +1,8 @@
 """K-factor covariance models: Delta = diag(xi^2) + Omega Phi Omega^T.
 
-Solves go through the Woodbury identity so only K x K dense solves are
-ever needed; one right-hand side costs O(N K^2 + K^3). K = 0 is a legal
-pure-diagonal model.
+Solves go through the Woodbury identity on a root of Phi, so only one
+symmetric positive-definite K x K solve is ever needed; one right-hand
+side costs O(N K^2 + K^3). K = 0 is a legal pure-diagonal model.
 """
 
 from __future__ import annotations
@@ -50,12 +50,16 @@ class FactorModel:
             raise ValidationError("fcm must be K x K")
         if np.any(xi < 0):
             raise ValidationError("specific risk must be non-negative")
-        if k and not np.allclose(phi, phi.T, rtol=0, atol=1e-12 * max(1.0, np.abs(phi).max())):
-            raise ValidationError("fcm must be symmetric")
-        if k:
-            evals = np.linalg.eigvalsh(0.5 * (phi + phi.T))
-            if evals.min() < -QUASI_NULL_REL * max(evals.max(), 0.0):
-                raise ValidationError("fcm must be positive semi-definite")
+        # Phi = V diag(theta) V^T: a diagonal Phi is its own spectrum (V = I),
+        # any other takes one eigh; the root V diag(sqrt(max(theta, 0))) is kept
+        theta, basis = np.diag(phi), None
+        if np.count_nonzero(phi) > np.count_nonzero(theta):
+            if not np.allclose(phi, phi.T, rtol=0, atol=1e-12 * max(1.0, np.abs(phi).max())):
+                raise ValidationError("fcm must be symmetric")
+            theta, basis = np.linalg.eigh(0.5 * (phi + phi.T))
+        if k and theta.min() < -QUASI_NULL_REL * max(theta.max(), 0.0):
+            raise ValidationError("fcm must be positive semi-definite")
+        object.__setattr__(self, "_root", (basis, np.sqrt(np.maximum(theta, 0.0))))
 
     @property
     def n_assets(self) -> int:
@@ -83,24 +87,34 @@ def dense(model: FactorModel) -> np.ndarray:
 
 
 def _woodbury_terms(model: FactorModel):
-    """(d_inv, left, core) with Delta^-1 = diag(d_inv) - left core^-1 Phi left^T.
+    """(d_inv, left, core) with Delta^-1 = diag(d_inv) - left core^-1 left^T.
 
-    The Woodbury identity (D + U Phi U^T)^-1 = D^-1 - D^-1 U (I + Phi U^T
-    D^-1 U)^-1 Phi U^T D^-1 stays valid for singular (PSD) Phi; left is
-    D^-1 Omega. core is None when K = 0.
+    With D = diag(xi^2) and the factor root B = Omega V diag(sqrt(theta))
+    (clipped at 0), Delta = D + B B^T, left = D^-1 B and core = S =
+    I + B^T D^-1 B: symmetric with every eigenvalue >= 1, and valid for a
+    singular (PSD) Phi. left and core are None when K = 0. Apart from
+    unit eigenvalues, S has the spectrum of D^-1/2 Delta D^-1/2. The
+    check bounds cond_2(S) = lambda_max(S) by 1 + tr(B^T D^-1 B) =
+    1 + sum_i (Omega Phi Omega^T)_ii / xi_i^2, an O(N K) number that
+    does not change with the factor basis or a scaling of Delta.
     """
-    xi2 = model.specific_risk ** 2
+    xi = model.specific_risk
+    xi2 = xi ** 2
     if np.any(xi2 == 0):
         raise SingularSpecificRisk("zero specific risk; dense form may be singular")
     d_inv = 1.0 / xi2
     if model.n_factors == 0:
         return d_inv, None, None
-    omega = model.loadings
-    core = np.eye(model.n_factors) + model.fcm @ (omega.T * d_inv) @ omega
-    cond = np.linalg.cond(core)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllConditioned(f"inner system condition estimate {cond:.3g}")
-    return d_inv, omega * d_inv[:, None], core
+    basis, root = model._root
+    omega = model.loadings if basis is None else model.loadings @ basis
+    with np.errstate(over="ignore"):  # an overflow fails the check below
+        half = omega * root / xi[:, None]  # D^-1/2 B
+        cond_bound = 1.0 + np.vdot(half, half)
+    if not np.isfinite(cond_bound) or cond_bound > COND_LIMIT:
+        raise IllConditioned(f"inner system condition bound {cond_bound:.3g}")
+    core = half.T @ half
+    core[np.diag_indices_from(core)] += 1.0
+    return d_inv, half / xi[:, None], core
 
 
 def _woodbury_solve(model: FactorModel, rhs: np.ndarray) -> np.ndarray:
@@ -109,15 +123,15 @@ def _woodbury_solve(model: FactorModel, rhs: np.ndarray) -> np.ndarray:
     d_inv_rhs = d_inv[:, None] * rhs
     if core is None:
         return d_inv_rhs
-    return d_inv_rhs - left @ np.linalg.solve(core, model.fcm @ (left.T @ rhs))
+    return d_inv_rhs - left @ np.linalg.solve(core, left.T @ rhs)
 
 
 def invert(model: FactorModel) -> np.ndarray:
-    """Inverse of the dense form, D^-1 - left (core^-1 Phi) left^T."""
+    """Inverse of the dense form, D^-1 - left core^-1 left^T."""
     d_inv, left, core = _woodbury_terms(model)
     inv = np.diag(d_inv)
     if core is not None:
-        inv -= (left @ np.linalg.solve(core, model.fcm)) @ left.T
+        inv -= left @ np.linalg.solve(core, left.T)
     return 0.5 * (inv + inv.T)
 
 

@@ -236,12 +236,33 @@ class _LowRank:
         return cls(loadings @ u, s)
 
 
-def _form(basis):
-    """A SampleCovariance as the _LowRank form R diag(1/M) R^T of its gram_root R."""
+def _exponent(a: np.ndarray) -> int:
+    """e with max |a| in [2^(e-1), 2^e), 0 for an empty or zero a."""
+    return int(np.frexp(max(a.max(initial=0.0), -a.min(initial=0.0)))[1])
+
+
+def _near_unit(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """(e, 2^-e a): e = 0 while max |a| is in [2^-64, 2^64], else 2^-e max |a| is in [1/2, 1)."""
+    e = _exponent(a)
+    return (0, a) if abs(e) <= 64 else (e, np.ldexp(a, -e))
+
+
+def _scaled_form(basis):
+    """(t, f) with basis = 2^t f: f a _LowRank form (or the dense truth) near unit scale.
+
+    A SampleCovariance is R diag(1/M) R^T over its gram_root R. Powers
+    of 2 change no mantissa, so returns scaled by 2^k give the same f
+    and t + 2k. s and h are always copied: BLAS sums can depend on the
+    alignment of their operands.
+    """
+    if isinstance(basis, np.ndarray):
+        return _near_unit(basis)
     if isinstance(basis, SampleCovariance):
-        r = basis.gram_root
-        return _LowRank(r, np.full(r.shape[1], 1.0 / basis.n_obs_minus_one), basis.variances)
-    return basis
+        w = basis.gram_root
+        basis = _LowRank(w, np.full(w.shape[1], 1.0 / basis.n_obs_minus_one), basis.variances)
+    (ew, w), es = _near_unit(basis.w), _exponent(basis.s)
+    t = 2 * ew + es
+    return t, _LowRank(w, np.ldexp(basis.s, -es), np.ldexp(basis.h, -t))
 
 
 class _OffdiagGram:
@@ -250,17 +271,25 @@ class _OffdiagGram:
     A basis is a _LowRank form, a SampleCovariance or a dense N x N array
     (the truth). For two forms, Gamma_ab = s_a^T (P o P) s_b - h_a . h_b
     with P = W_a^T W_b, in O(N r_a r_b); the truth enters through
-    truth @ W_a, the only O(N^2) step. Each entry is computed once and
-    kept with its bases, so their ids stay unique.
+    truth @ W_a, the only O(N^2) step. Entries are kept as 2^-(t_a + t_b)
+    Gamma_ab over the forms of _scaled_form, so they stay finite where
+    Gamma_ab itself would overflow. Each form and entry is computed once
+    and kept with its bases, so their ids stay unique.
     """
 
     def __init__(self):
-        self._entries = {}
+        self._forms, self._entries = {}, {}
+
+    def _form(self, basis):
+        if id(basis) not in self._forms:
+            self._forms[id(basis)] = (basis, *_scaled_form(basis))
+        return self._forms[id(basis)][1:]
 
     def entry(self, a, b) -> float:
+        """2^-(t_a + t_b) Gamma_ab."""
         key = (id(a), id(b))
         if key not in self._entries:
-            fa, fb = _form(a), _form(b)
+            (_, fa), (_, fb) = self._form(a), self._form(b)
             if isinstance(fa, np.ndarray):
                 fa, fb = fb, fa
             if isinstance(fa, np.ndarray):
@@ -273,23 +302,30 @@ class _OffdiagGram:
             self._entries[key] = self._entries[key[::-1]] = (a, b, float(value))
         return self._entries[key][2]
 
-    def matrix(self, bases: list) -> np.ndarray:
-        return np.array([[self.entry(a, b) for b in bases] for a in bases])
+    def norms(self, bases: list, coef: np.ndarray) -> np.ndarray:
+        """||offdiag(sum_a coef[a, j] B_a)||_F = sqrt(max(c^T Gamma c, 0)) per column j.
 
-    def norm(self, terms: list) -> float:
-        """||offdiag(sum c_a B_a)||_F = sqrt(max(c^T Gamma c, 0)) of (c_a, B_a) terms.
-
+        Summed as 2^tau sqrt(c~^T Gamma~ c~) with c~_a = 2^(t_a - tau) c_a
+        and tau the largest t_a of a basis with a nonzero off-diagonal.
         err^2 is rounded with an absolute error of order
         eps sum |c_a c_b Gamma_ab|.
         """
-        coef = np.array([c for c, _ in terms])
-        return float(np.sqrt(max(coef @ self.matrix([b for _, b in terms]) @ coef, 0.0)))
+        t = np.array([self._form(b)[0] for b in bases])
+        gamma = np.array([[self.entry(a, b) for b in bases] for a in bases])
+        tau = int(t[np.diag(gamma) > 0].max(initial=t.min()))
+        c = np.ldexp(np.asarray(coef, dtype=float), (t - tau)[:, None])
+        return np.ldexp(np.sqrt(np.maximum(np.einsum("iq,ij,jq->q", c, gamma, c), 0.0)), tau)
+
+    def norm(self, terms: list) -> float:
+        """norms of one list of (c_a, B_a) terms."""
+        coef = np.array([[c] for c, _ in terms])
+        return float(self.norms([b for _, b in terms], coef)[0])
 
 
 def _leading_pc(scm: SampleCovariance) -> np.ndarray:
     """Unit leading PC of scm, R u / ||R u|| for the top eigenvector u of R^T R."""
     r = scm.gram_root
-    v = r @ np.linalg.eigh(r.T @ r)[1][:, -1]
+    v = r @ np.linalg.eigh(_near_unit(r.T @ r)[1])[1][:, -1]
     return v / np.linalg.norm(v)
 
 
@@ -368,11 +404,9 @@ def _grid_errors(scm_train: SampleCovariance, scm_test: SampleCovariance,
                  target: FactorModel, grid: list[float]) -> np.ndarray:
     """grid_search_q's closed-form error of shrink(q, target), one per grid q."""
     ShrinkageSpec(q=0.0, target=target).validate_against(scm_train)
-    gamma = _OffdiagGram().matrix([_LowRank.of(target.loadings, target.fcm),
-                                   scm_train, scm_test])
     q = np.asarray(grid, dtype=float)
-    coef = np.stack([q, 1.0 - q, -np.ones_like(q)])
-    return np.sqrt(np.maximum(np.einsum("iq,ij,jq->q", coef, gamma, coef), 0.0))
+    return _OffdiagGram().norms([_LowRank.of(target.loadings, target.fcm), scm_train, scm_test],
+                                np.stack([q, 1.0 - q, -np.ones_like(q)]))
 
 
 def grid_search_q(

@@ -366,3 +366,26 @@ def test_fuzz_method_spec(spec):
 def test_fuzz_matrix_csv(text, argv):
     code, _, err = run_with_stdin([*argv, "-i", "-"], text)
     assert_clean_exit(code, err)
+
+
+@pytest.mark.parametrize("shape", [(40, 12), (5, 40)], ids=["wide", "tall"])
+def test_eval_near_1e100_reports_finite_records(tmp_path, shape):
+    # off-diagonal Grams of C near 1e200 would overflow unless scaled by powers of 2
+    n, t = shape
+    rows = np.random.default_rng(5).standard_normal((n, t)) * 1e100
+    big = tmp_path / "big.csv"
+    big.write_text("\n".join(f"A{i}," + ",".join(map(repr, row))
+                             for i, row in enumerate(rows.tolist())) + "\n")
+    src = pathlib.Path(cr.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "covreg.cli", "eval", "-i", str(big), "--no-header", "--json",
+         "--method", "shrink,q=0.5", "--method", "shrink,q=0.5,target=constant_correlation",
+         "--method", "truncated_pc,f_hat=1", "--method", "scm_ridge"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    for record in json.loads(proc.stdout)["records"]:
+        for field in ("in_sample_error", "out_of_sample_error", "leading_pc_overlap"):
+            assert np.isfinite(record[field]), field
+        assert record["realized_variance"] is None or np.isfinite(record["realized_variance"])

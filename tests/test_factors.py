@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 import covreg as cr
+from covreg import factors
 from covreg.errors import IllConditioned, SingularSpecificRisk, ValidationError
-from covreg.factors import FactorModel
+from covreg.factors import COND_LIMIT, FactorModel
 from covreg.serialize import (
     dumps,
     factor_model_from_json_dict,
     factor_model_to_json_dict,
 )
 
-from conftest import brute_force_dense, dense_solve_inverse, random_pd_model
+from conftest import (brute_force_dense, dense_solve_inverse, random_demeaned,
+                      random_pd_model)
 
 
 class TestDense:
@@ -120,6 +122,101 @@ class TestMinVarianceWeights:
         assert cr.min_variance_weights(model).sum() == pytest.approx(1.0)
 
 
+def _with_fcm(rng, n, phi):
+    return FactorModel(specific_risk=rng.uniform(0.5, 2.0, n),
+                       loadings=rng.standard_normal((n, phi.shape[0])), fcm=phi)
+
+
+def _rotated(rng, evals):
+    q = np.linalg.qr(rng.standard_normal((len(evals), len(evals))))[0]
+    phi = (q * evals) @ q.T
+    return 0.5 * (phi + phi.T)
+
+
+# seeded models for the Woodbury solve: FCMs diagonal, dense, rank-deficient, spread over 1e10
+SOLVE_MODELS = {
+    "diagonal": lambda rng: _with_fcm(rng, 9, np.diag(rng.uniform(0.1, 3.0, 4))),
+    "dense": lambda rng: random_pd_model(rng, 9, 4),
+    "rank_deficient": lambda rng: _with_fcm(rng, 9, _rotated(rng, [2.0, 1.0, 0.0, 0.0])),
+    "spread_1e10": lambda rng: _with_fcm(rng, 9, _rotated(rng, np.logspace(-5, 5, 4))),
+}
+
+
+def cond_bound_oracle(model: FactorModel) -> float:
+    """1 + sum_i (Omega Phi Omega^T)_ii / xi_i^2, off the triple-loop dense form."""
+    xi2 = model.specific_risk ** 2
+    return 1.0 + float(np.sum((np.diag(brute_force_dense(model)) - xi2) / xi2))
+
+
+@pytest.mark.parametrize("make", SOLVE_MODELS.values(), ids=SOLVE_MODELS.keys())
+class TestWoodburyOracles:
+    def test_bound_covers_core_condition(self, rng, make):
+        model = make(rng)
+        _, _, core = factors._woodbury_terms(model)
+        np.testing.assert_array_equal(core, core.T)
+        assert np.linalg.eigvalsh(core).min() >= 1.0 - 1e-12
+        assert cond_bound_oracle(model) >= np.linalg.cond(core)
+
+    def test_invert_matches_dense_solve(self, rng, make):
+        model = make(rng)
+        np.testing.assert_allclose(
+            cr.invert(model), dense_solve_inverse(model), rtol=0, atol=1e-8
+        )
+
+    def test_weights_match_dense_solve(self, rng, make):
+        model = make(rng)
+        raw = np.linalg.solve(brute_force_dense(model), np.ones(model.n_assets))
+        np.testing.assert_allclose(
+            cr.min_variance_weights(model), raw / raw.sum(), rtol=0, atol=1e-8
+        )
+
+
+@pytest.mark.parametrize("over", [0.5, 2.0], ids=["below", "above"])
+def test_ill_conditioned_iff_bound_exceeds_limit(over):
+    # one factor: the bound is 1 + sum_i omega_i^2 phi / xi_i^2 = 1 + 3 phi
+    phi = over * (COND_LIMIT - 1.0) / 3.0
+    model = FactorModel(specific_risk=np.ones(3), loadings=np.ones((3, 1)), fcm=[[phi]])
+    assert cond_bound_oracle(model) == pytest.approx(1.0 + over * (COND_LIMIT - 1.0))
+    if over > 1:
+        with pytest.raises(IllConditioned):
+            cr.min_variance_weights(model)
+    else:
+        assert cr.min_variance_weights(model) == pytest.approx(np.full(3, 1 / 3))
+
+
+@pytest.mark.parametrize("target_kind", ["diagonal", "constant_correlation"])
+def test_block_diagonal_models_decompose_nothing(rng, monkeypatch, target_kind):
+    # both regularizers build a diagonal FCM, whose diagonal is its spectrum
+    scm = cr.sample_covariance(random_demeaned(rng, 30, 12))
+    spectral = cr.spectral_decompose(scm)
+    target = cr.build_target(scm, target_kind)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposition called")
+
+    for name in ("svd", "cond", "eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    shrunk = cr.shrink_as_factor_model(spectral, cr.ShrinkageSpec(q=0.5, target=target))
+    truncated = cr.truncated_pc_model(scm, spectral, target, 2)
+    for model in (shrunk.base, truncated.base):
+        assert np.isfinite(cr.min_variance_weights(model)).all()
+
+
+def test_dense_fcm_decomposed_once(rng, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    model = random_pd_model(rng, 9, 4)
+    cr.min_variance_weights(model)
+    cr.invert(model)
+    assert calls == [(4, 4)]
+
+
 class TestValidation:
     def test_negative_specific_risk_rejected(self):
         with pytest.raises(ValidationError):
@@ -132,6 +229,18 @@ class TestValidation:
                 loadings=[[1.0, 0.0], [0.0, 1.0]],
                 fcm=[[1.0, 0.0], [0.0, -1.0]],
             )
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "dense"])
+    def test_psd_threshold_unchanged(self, rng, rotate):
+        # rejected below -QUASI_NULL_REL * lambda_max, on either spectrum path
+        for smallest, ok in ((-0.5e-10, True), (-2e-10, False)):
+            evals = np.array([1.0, 0.5, smallest])
+            phi = _rotated(rng, evals) if rotate else np.diag(evals)
+            if ok:
+                _with_fcm(rng, 4, phi)
+            else:
+                with pytest.raises(ValidationError):
+                    _with_fcm(rng, 4, phi)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):

@@ -63,3 +63,36 @@ def test_scaling_returns_scales_c_only(shape, s):
     close(scm_s.c, s**2 * scm.c, SCALE_REL)
     close(nu_s, nu, MODEL_REL)
     close(w_s, w, MODEL_REL)
+
+
+@pytest.mark.parametrize("k", [332, -300])
+def test_weights_exact_under_power_of_two_scaling(k):
+    # the Woodbury solve and its conditioning check see D^-1/2 B, which a
+    # power of 2 leaves unchanged; the parent rejected both as ill conditioned
+    panel = one_factor_panel(40, 12)
+    scaled = cr.ReturnsPanel(returns=np.ldexp(panel.returns, k), asset_ids=panel.asset_ids)
+    fits = []
+    for p in (panel, scaled):
+        scm = cr.sample_covariance(cr.demean(p))
+        target = cr.build_target(scm, "constant_correlation")
+        assert target.loadings.any()
+        spec = cr.ShrinkageSpec(q=0.5, target=target)
+        fits.append(cr.min_variance_weights(
+            cr.shrink_as_factor_model(cr.spectral_decompose(scm), spec).base))
+    np.testing.assert_array_equal(fits[1], fits[0])
+
+
+@pytest.mark.parametrize("k", [332, -300])
+def test_records_exact_under_power_of_two_scaling(k):
+    # returns times 2^k: every error and realized variance times 2^2k, same overlap
+    panel = one_factor_panel(40, 12)
+    scaled = cr.ReturnsPanel(returns=np.ldexp(panel.returns, k), asset_ids=panel.asset_ids)
+    methods = [cr.MethodConfig("shrink", q=0.5, target_kind="constant_correlation"),
+               cr.MethodConfig("truncated_pc", f_hat=1), cr.MethodConfig("scm_ridge")]
+    base = cr.stability_experiment(panel, 0.5, methods).records
+    got = cr.stability_experiment(scaled, 0.5, methods).records
+    for a, b in zip(base, got):
+        assert b.invertible
+        for field in ("in_sample_error", "out_of_sample_error", "realized_variance"):
+            assert getattr(b, field) == np.ldexp(getattr(a, field), 2 * k), field
+        assert b.leading_pc_overlap == a.leading_pc_overlap
