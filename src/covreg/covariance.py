@@ -28,9 +28,7 @@ class SampleCovariance:
     Built from a panel, it keeps the demeaned N x T panel x, with
     C = x x^T / n_obs_minus_one, rejects an asset of zero variance, and
     forms the dense c only on first read: variances and s^T C s come
-    from x in O(N T). root is x for a wide panel (T <= N/2), which
-    spectral_decompose takes a thin SVD of; None otherwise. Built from a
-    matrix c, it has no x.
+    from x in O(N T). Built from a matrix c, it has no x.
     """
 
     def __init__(self, c: np.ndarray | None, n_obs_minus_one: int,
@@ -73,11 +71,6 @@ class SampleCovariance:
     @property
     def n_assets(self) -> int:
         return self.variances.shape[0]
-
-    @property
-    def root(self) -> np.ndarray | None:
-        x = self.x
-        return x if x is not None and 2 * x.shape[1] <= x.shape[0] else None
 
     @property
     def gram_root(self) -> np.ndarray:
@@ -167,23 +160,33 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectral_decompose(scm: SampleCovariance) -> SpectralDecomposition:
-    """Eigendecompose, round quasi-null eigenvalues to zero, sort descending.
-
-    With a root X (wide panel) the eigenpairs come from its thin SVD,
-    lambda = s^2 / M and V = U, else from eigh of C; both ascending here.
-    """
-    if scm.root is None:
-        evals, evecs = np.linalg.eigh(scm.c)
-    else:
-        u, s, _ = np.linalg.svd(scm.root, full_matrices=False)
-        evals, evecs = (s ** 2 / scm.n_obs_minus_one)[::-1], u[:, ::-1]
-    lam_max = evals[-1] if evals.size else 0.0
-    threshold = QUASI_NULL_REL * max(lam_max, 0.0)
+def _quasi_null_threshold(evals: np.ndarray) -> float:
+    """QUASI_NULL_REL * max(lambda_max, 0) of ascending evals, which must be finite and >= -it."""
+    if not np.all(np.isfinite(evals)):
+        raise ValidationError("covariance has a non-finite eigenvalue")
+    threshold = QUASI_NULL_REL * max(evals[-1] if evals.size else 0.0, 0.0)
     if np.any(evals < -threshold):
         raise NegativeEigenvalueError(
             f"eigenvalue {evals.min():.6g} below -{threshold:.6g}; input not PSD"
         )
+    return threshold
+
+
+def spectral_decompose(scm: SampleCovariance) -> SpectralDecomposition:
+    """Eigendecompose, round quasi-null eigenvalues to zero, sort descending.
+
+    A wide panel (x with T <= N/2 columns) takes a thin SVD of x, lambda =
+    (s / sqrt(M))^2 and V = U, any other SCM eigh of C; both ascending here.
+    """
+    x = scm.x
+    if x is None or 2 * x.shape[1] > x.shape[0]:
+        evals, evecs = np.linalg.eigh(scm.c)
+    else:
+        u, s, _ = np.linalg.svd(x, full_matrices=False)
+        with np.errstate(over="ignore"):  # an overflow fails the finiteness check
+            evals = ((s / np.sqrt(scm.n_obs_minus_one)) ** 2)[::-1]
+        evecs = u[:, ::-1]
+    threshold = _quasi_null_threshold(evals)
     keep = evals > threshold
     # descending order
     evals = evals[keep][::-1]

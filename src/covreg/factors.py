@@ -48,18 +48,22 @@ class FactorModel:
             raise ValidationError("specific risk length must match loadings rows")
         if phi.shape != (k, k):
             raise ValidationError("fcm must be K x K")
+        if not all(np.all(np.isfinite(a)) for a in (xi, omega, phi)):
+            raise ValidationError("factor model has non-finite entries")
         if np.any(xi < 0):
             raise ValidationError("specific risk must be non-negative")
         # Phi = V diag(theta) V^T: a diagonal Phi is its own spectrum (V = I),
-        # any other takes one eigh; the root V diag(sqrt(max(theta, 0))) is kept
-        theta, basis = np.diag(phi), None
+        # any other takes one eigh. The factor part Omega Phi Omega^T is kept
+        # as W diag(max(theta, 0)) W^T with W = Omega V, Omega itself if V = I
+        theta, w = np.diag(phi), omega
         if np.count_nonzero(phi) > np.count_nonzero(theta):
             if not np.allclose(phi, phi.T, rtol=0, atol=1e-12 * max(1.0, np.abs(phi).max())):
                 raise ValidationError("fcm must be symmetric")
             theta, basis = np.linalg.eigh(0.5 * (phi + phi.T))
+            w = omega @ basis
         if k and theta.min() < -QUASI_NULL_REL * max(theta.max(), 0.0):
             raise ValidationError("fcm must be positive semi-definite")
-        object.__setattr__(self, "_root", (basis, np.sqrt(np.maximum(theta, 0.0))))
+        object.__setattr__(self, "_factor", (w, np.maximum(theta, 0.0)))
 
     @property
     def n_assets(self) -> int:
@@ -89,14 +93,14 @@ def dense(model: FactorModel) -> np.ndarray:
 def _woodbury_terms(model: FactorModel):
     """(d_inv, left, core) with Delta^-1 = diag(d_inv) - left core^-1 left^T.
 
-    With D = diag(xi^2) and the factor root B = Omega V diag(sqrt(theta))
-    (clipped at 0), Delta = D + B B^T, left = D^-1 B and core = S =
-    I + B^T D^-1 B: symmetric with every eigenvalue >= 1, and valid for a
-    singular (PSD) Phi. left and core are None when K = 0. Apart from
-    unit eigenvalues, S has the spectrum of D^-1/2 Delta D^-1/2. The
-    check bounds cond_2(S) = lambda_max(S) by 1 + tr(B^T D^-1 B) =
-    1 + sum_i (Omega Phi Omega^T)_ii / xi_i^2, an O(N K) number that
-    does not change with the factor basis or a scaling of Delta.
+    With D = diag(xi^2) and the factor root B = W diag(sqrt(theta+)),
+    Delta = D + B B^T, left = D^-1 B and core = S = I + B^T D^-1 B:
+    symmetric with every eigenvalue >= 1, and valid for a singular (PSD)
+    Phi. left and core are None when K = 0. Apart from unit eigenvalues,
+    S has the spectrum of D^-1/2 Delta D^-1/2. The check bounds cond_2(S)
+    = lambda_max(S) by 1 + tr(B^T D^-1 B) = 1 + sum_i (Omega Phi
+    Omega^T)_ii / xi_i^2, an O(N K) number that does not change with the
+    factor basis or a scaling of Delta.
     """
     xi = model.specific_risk
     xi2 = xi ** 2
@@ -105,25 +109,15 @@ def _woodbury_terms(model: FactorModel):
     d_inv = 1.0 / xi2
     if model.n_factors == 0:
         return d_inv, None, None
-    basis, root = model._root
-    omega = model.loadings if basis is None else model.loadings @ basis
+    w, theta = model._factor
     with np.errstate(over="ignore"):  # an overflow fails the check below
-        half = omega * root / xi[:, None]  # D^-1/2 B
+        half = w * np.sqrt(theta) / xi[:, None]  # D^-1/2 B
         cond_bound = 1.0 + np.vdot(half, half)
     if not np.isfinite(cond_bound) or cond_bound > COND_LIMIT:
         raise IllConditioned(f"inner system condition bound {cond_bound:.3g}")
     core = half.T @ half
     core[np.diag_indices_from(core)] += 1.0
     return d_inv, half / xi[:, None], core
-
-
-def _woodbury_solve(model: FactorModel, rhs: np.ndarray) -> np.ndarray:
-    """Delta^-1 rhs for an (N, R) right-hand side."""
-    d_inv, left, core = _woodbury_terms(model)
-    d_inv_rhs = d_inv[:, None] * rhs
-    if core is None:
-        return d_inv_rhs
-    return d_inv_rhs - left @ np.linalg.solve(core, left.T @ rhs)
 
 
 def invert(model: FactorModel) -> np.ndarray:
@@ -137,5 +131,6 @@ def invert(model: FactorModel) -> np.ndarray:
 
 def min_variance_weights(model: FactorModel) -> np.ndarray:
     """w = Delta^-1 1 / (1^T Delta^-1 1), in O(N K^2) without the N x N inverse."""
-    raw = _woodbury_solve(model, np.ones((model.n_assets, 1)))[:, 0]
+    d_inv, left, core = _woodbury_terms(model)
+    raw = d_inv if core is None else d_inv - left @ np.linalg.solve(core, left.sum(axis=0))
     return raw / raw.sum()

@@ -10,8 +10,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .covariance import (SampleCovariance, SpectralDecomposition, sample_covariance,
-                         spectral_decompose)
+from .covariance import (SampleCovariance, SpectralDecomposition, _quasi_null_threshold,
+                         sample_covariance, spectral_decompose)
 from .errors import (DimensionMismatch, IllConditioned, InvalidSpec, SingularSpecificRisk,
                      SplitTooSmall, ValidationError)
 from .factors import FactorModel, min_variance_weights
@@ -104,8 +104,8 @@ def bai_yin_check(n: int, m: int, trials: int, seed: int) -> BaiYinReport:
     """Monte Carlo check of the (1 +- sqrt(y))^2 eigenvalue edges.
 
     Averages the extreme positive eigenvalues of demeaned unit-variance
-    SCMs. When m < n the smallest *positive* eigenvalue stands in for
-    the minimum.
+    SCMs, read off eigvalsh with no eigenvectors. When m < n the
+    smallest *positive* eigenvalue stands in for the minimum.
     """
     if n < 2 or m < 2 or trials < 1:
         raise InvalidSpec("need n, m >= 2 and trials >= 1")
@@ -118,8 +118,11 @@ def bai_yin_check(n: int, m: int, trials: int, seed: int) -> BaiYinReport:
         panel = ReturnsPanel(
             returns=data, asset_ids=tuple(f"A{i + 1:04d}" for i in range(n))
         )
-        spectral = spectral_decompose(sample_covariance(demean(panel)))
-        return spectral.eigenvalues[-1], spectral.eigenvalues[0]
+        scm = sample_covariance(demean(panel))
+        # C's positive eigenvalues are those of the smaller Gram x^T x / M when T < N
+        evals = np.linalg.eigvalsh(scm.c if n <= m + 1 else scm.x.T @ scm.x / m)
+        evals = evals[evals > _quasi_null_threshold(evals)]
+        return evals[0], evals[-1]
 
     mins, maxs = zip(*map(one_trial, seeds))
     return BaiYinReport(
@@ -176,16 +179,17 @@ def estimate_method(scm: SampleCovariance, spectral: SpectralDecomposition,
     target minus the dropped-PC part for truncated-PC.
     """
     target = build_target(scm, cfg.target_kind, cfg.rho)
+    w, theta = target._factor
     if cfg.kind == "truncated_pc":
-        model = truncated_pc_model(scm, spectral, target, cfg.f_hat).base
-        rescaled = _LowRank.of(model.loadings[:, :target.n_factors], target.fcm)
+        model = truncated_pc_model(scm, spectral, target, cfg.f_hat)
+        rescaled = _LowRank(model.nu[:, None] * w, theta)
         f = cfg.f_hat
         kept = _LowRank(spectral.components[:f].T, spectral.eigenvalues[:f])
         dropped = _LowRank(spectral.components[f:].T, spectral.eigenvalues[f:])
-        return model, [(1.0, rescaled), (1.0, kept)], [(1.0, rescaled), (-1.0, dropped)]
+        return model.base, [(1.0, rescaled), (1.0, kept)], [(1.0, rescaled), (-1.0, dropped)]
     spec = ShrinkageSpec(q=cfg.q, target=target)
     spec.validate_against(scm)
-    loading, q = _LowRank.of(target.loadings, target.fcm), cfg.q
+    loading, q = _LowRank(w, theta), cfg.q
     return (shrink_as_factor_model(spectral, spec).base,
             [(q, loading), (1.0 - q, scm)], [(q, loading), (-q, scm)])
 
@@ -228,12 +232,6 @@ class _LowRank:
     def __init__(self, w: np.ndarray, s: np.ndarray, h: np.ndarray | None = None):
         self.w, self.s = w, s
         self.h = (w * w) @ s if h is None else h
-
-    @classmethod
-    def of(cls, loadings: np.ndarray, fcm: np.ndarray) -> "_LowRank":
-        """Omega Phi Omega^T, through the eigenpairs of the K x K Phi."""
-        s, u = np.linalg.eigh(fcm)
-        return cls(loadings @ u, s)
 
 
 def _exponent(a: np.ndarray) -> int:
@@ -323,14 +321,14 @@ class _OffdiagGram:
 
 
 def _leading_pc(scm: SampleCovariance) -> np.ndarray:
-    """Unit leading PC of scm, R u / ||R u|| for the top eigenvector u of R^T R."""
-    r = scm.gram_root
-    v = r @ np.linalg.eigh(_near_unit(r.T @ r)[1])[1][:, -1]
+    """Unit leading PC of scm: R u / ||R u||, u the top eigenvector of R^T R, R near unit scale."""
+    r = _near_unit(scm.gram_root)[1]
+    v = r @ np.linalg.eigh(r.T @ r)[1][:, -1]
     return v / np.linalg.norm(v)
 
 
 def _split_scms(panel: ReturnsPanel, split: float):
-    """(n_train, n_test, train SCM, test SCM, demeaned test panel) of a split."""
+    """(n_train, n_test, train SCM, test SCM) of a split."""
     if not 0.0 < split < 1.0:
         raise SplitTooSmall(f"split must be in (0, 1), got {split}")
     t = panel.n_obs
@@ -339,9 +337,8 @@ def _split_scms(panel: ReturnsPanel, split: float):
     if n_train < 2 or n_test < 2:
         raise SplitTooSmall("both segments need at least 2 observations")
     train = ReturnsPanel(panel.returns[:, :n_train], panel.asset_ids)
-    test_demeaned = demean(ReturnsPanel(panel.returns[:, n_train:], panel.asset_ids))
-    return (n_train, n_test, sample_covariance(demean(train)),
-            sample_covariance(test_demeaned), test_demeaned)
+    scm_test = sample_covariance(demean(ReturnsPanel(panel.returns[:, n_train:], panel.asset_ids)))
+    return n_train, n_test, sample_covariance(demean(train)), scm_test
 
 
 def stability_experiment(
@@ -355,8 +352,8 @@ def stability_experiment(
     Each method is fitted on the first split fraction of observations;
     errors are off-diagonal Frobenius distances to the train-segment and
     test-segment SCMs (and to the truth matrix when supplied), plus the
-    realized variance of the train-fitted minimum-variance weights over
-    the test segment. Non-invertible fits are recorded, not raised.
+    realized variance w^T C_2 w of the train-fitted minimum-variance
+    weights on the test SCM C_2. Non-invertible fits are recorded, not raised.
     truth, when given, must be a finite N x N matrix. The errors come
     from _OffdiagGram, so no dense estimate or N x N difference is built;
     the leading-PC overlap reads the test segment's top PC off its root.
@@ -368,7 +365,7 @@ def stability_experiment(
             raise DimensionMismatch(f"truth must be {n} x {n}, got shape {truth.shape}")
         if not np.all(np.isfinite(truth)):
             raise ValidationError("truth has non-finite entries")
-    n_train, n_test, scm_train, scm_test, test_demeaned = _split_scms(panel, split)
+    n_train, n_test, scm_train, scm_test = _split_scms(panel, split)
     spectral_train = spectral_decompose(scm_train)
     pc_overlap = float(abs(spectral_train.components[0] @ _leading_pc(scm_test)))
 
@@ -380,10 +377,7 @@ def stability_experiment(
         out_err = gram.norm(fit + [(-1.0, scm_test)])
         truth_err = gram.norm(fit + [(-1.0, truth)]) if truth is not None else None
         try:
-            w = min_variance_weights(model)
-            test_returns = w @ test_demeaned.x
-            realized = float(test_returns @ test_returns / (n_test - 1))
-            invertible = True
+            realized, invertible = scm_test.quadratic_form(min_variance_weights(model)), True
         except (SingularSpecificRisk, IllConditioned):
             realized, invertible = None, False
         records.append(
@@ -405,7 +399,7 @@ def _grid_errors(scm_train: SampleCovariance, scm_test: SampleCovariance,
     """grid_search_q's closed-form error of shrink(q, target), one per grid q."""
     ShrinkageSpec(q=0.0, target=target).validate_against(scm_train)
     q = np.asarray(grid, dtype=float)
-    return _OffdiagGram().norms([_LowRank.of(target.loadings, target.fcm), scm_train, scm_test],
+    return _OffdiagGram().norms([_LowRank(*target._factor), scm_train, scm_test],
                                 np.stack([q, 1.0 - q, -np.ones_like(q)]))
 
 
@@ -434,7 +428,7 @@ def grid_search_q(
     for q in grid:
         if not 0.0 <= q <= 1.0:
             raise InvalidSpec(f"grid value {q} outside [0, 1]")
-    _, _, scm_train, scm_test, _ = _split_scms(panel, split)
+    _, _, scm_train, scm_test = _split_scms(panel, split)
     target = build_target(scm_train, target_kind)
     errors = _grid_errors(scm_train, scm_test, target, grid)
     best = min(

@@ -91,6 +91,29 @@ def spread_variance_rows(rng, n, t):
     return rng.standard_normal((n, t)) * np.sqrt(np.logspace(-8, 4, n))[:, None]
 
 
+def counting_linalg(monkeypatch, *names) -> list:
+    """Patch the named np.linalg functions to append their name to the returned list."""
+    calls = []
+    for name in names:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def spectral_route(monkeypatch, scm: cr.SampleCovariance) -> str:
+    """"svd" or "eigh": the one decomposition spectral_decompose runs on scm."""
+    with monkeypatch.context() as mp:
+        calls = counting_linalg(mp, "svd", "eigh")
+        cr.spectral_decompose(scm)
+    assert len(calls) == 1, calls
+    return calls[0]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -325,22 +325,27 @@ def test_overflowing_matrix_reports_one_line(tmp_path):
     assert proc.stderr == "error: covariance has non-finite entries\n"
 
 
+def run_cli_on_rows(tmp_path, rows, *argv):
+    """covreg argv on rows written as a headerless panel CSV, RuntimeWarnings as errors."""
+    big = tmp_path / "big.csv"
+    big.write_text("\n".join(f"A{i}," + ",".join(map(repr, row))
+                             for i, row in enumerate(rows.tolist())) + "\n")
+    src = pathlib.Path(cr.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "covreg.cli", argv[0],
+         "-i", str(big), "--no-header", *argv[1:]],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
 @pytest.mark.parametrize("argv", [["scm"], ["truncate", "--f-hat", "1"],
                                   ["eval", "--method", "shrink,q=0.5"]],
                          ids=["scm", "truncate", "eval"])
 @pytest.mark.parametrize("shape", [(40, 12), (5, 40)], ids=["wide", "tall"])
 def test_overflowing_panel_reports_one_line(tmp_path, argv, shape):
     # squares of cells near 1e160 overflow: the variances taken from X catch it
-    n, t = shape
-    rows = np.random.default_rng(5).standard_normal((n, t)) * 1e160
-    big = tmp_path / "big.csv"
-    big.write_text("\n".join(f"A{i}," + ",".join(map(repr, row))
-                             for i, row in enumerate(rows.tolist())) + "\n")
-    src = pathlib.Path(cr.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "covreg.cli", *argv, "--no-header", "-i", str(big)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    rows = np.random.default_rng(5).standard_normal(shape) * 1e160
+    proc = run_cli_on_rows(tmp_path, rows, *argv)
     assert proc.returncode == 2
     assert proc.stderr == "error: covariance has non-finite entries\n"
 
@@ -368,24 +373,71 @@ def test_fuzz_matrix_csv(text, argv):
     assert_clean_exit(code, err)
 
 
-@pytest.mark.parametrize("shape", [(40, 12), (5, 40)], ids=["wide", "tall"])
-def test_eval_near_1e100_reports_finite_records(tmp_path, shape):
-    # off-diagonal Grams of C near 1e200 would overflow unless scaled by powers of 2
-    n, t = shape
-    rows = np.random.default_rng(5).standard_normal((n, t)) * 1e100
-    big = tmp_path / "big.csv"
-    big.write_text("\n".join(f"A{i}," + ",".join(map(repr, row))
-                             for i, row in enumerate(rows.tolist())) + "\n")
-    src = pathlib.Path(cr.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "covreg.cli", "eval", "-i", str(big), "--no-header", "--json",
-         "--method", "shrink,q=0.5", "--method", "shrink,q=0.5,target=constant_correlation",
-         "--method", "truncated_pc,f_hat=1", "--method", "scm_ridge"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert proc.returncode == 0
-    assert proc.stderr == ""
-    for record in json.loads(proc.stdout)["records"]:
+EVAL_METHODS = ("--method", "shrink,q=0.5", "--method", "shrink,q=0.5,target=constant_correlation",
+                "--method", "truncated_pc,f_hat=1", "--method", "scm_ridge")
+
+
+def assert_finite_records(stdout):
+    for record in json.loads(stdout)["records"]:
         for field in ("in_sample_error", "out_of_sample_error", "leading_pc_overlap"):
             assert np.isfinite(record[field]), field
         assert record["realized_variance"] is None or np.isfinite(record["realized_variance"])
+
+
+@pytest.mark.parametrize("shape", [(40, 12), (5, 40)], ids=["wide", "tall"])
+def test_eval_near_1e100_reports_finite_records(tmp_path, shape):
+    # off-diagonal Grams of C near 1e200 would overflow unless scaled by powers of 2
+    rows = np.random.default_rng(5).standard_normal(shape) * 1e100
+    proc = run_cli_on_rows(tmp_path, rows, "eval", "--json", *EVAL_METHODS)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert_finite_records(proc.stdout)
+
+
+# cells near 1e153: every variance, C entry and eigenvalue is finite, but
+# s^2 of a singular value of X, and the gram root's R^T R, overflow
+NEAR_1E153 = {
+    "300x40": lambda rng: 1e153 * rng.standard_normal((300, 40)),
+    "1000x40": lambda rng: 1e153 * rng.uniform(-1.0, 1.0, (1000, 40)),
+}
+
+
+@pytest.mark.parametrize("make", NEAR_1E153.values(), ids=NEAR_1E153.keys())
+class TestWidePanelNear1e153:
+    def test_shrink_dense_matches_factor_model(self, tmp_path, make):
+        rows = make(np.random.default_rng(5))
+        proc = run_cli_on_rows(tmp_path, rows, "shrink", "--q", "0.5", "--json")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        out = json.loads(proc.stdout)
+        model = factor_model_from_json_dict(out["factor_model"])
+        assert model.n_factors == rows.shape[1] - 1
+        # compared at 2^-1020 scale: Phi is diagonal, so 2^-510 Omega sqrt(Phi) is a root
+        b = np.ldexp(model.loadings * np.sqrt(np.diag(model.fcm)), -510)
+        want = np.diag(np.ldexp(model.specific_risk, -510) ** 2) + b @ b.T
+        got = np.ldexp(np.reshape(out["dense"]["data"], want.shape), -1020)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+    def test_truncate_keeps_one_pc(self, tmp_path, make):
+        proc = run_cli_on_rows(tmp_path, make(np.random.default_rng(5)),
+                               "truncate", "--f-hat", "1", "--json")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["factor_model"]["f_hat"] == 1
+
+    def test_eval_reports_finite_records(self, tmp_path, make):
+        proc = run_cli_on_rows(tmp_path, make(np.random.default_rng(5)),
+                               "eval", "--json", *EVAL_METHODS)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert_finite_records(proc.stdout)
+
+
+@pytest.mark.parametrize("t", [40, 250], ids=["svd", "eigh"])
+def test_overflowing_spectrum_rejected(tmp_path, t):
+    # 400 near-collinear assets: each variance near 6.4e305 is finite, the
+    # leading eigenvalue near 400 times that is not
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal(t)
+    base = (base - base.mean()) / base.std()
+    rows = 8e152 * (base + 1e-3 * rng.standard_normal((400, t)))
+    proc = run_cli_on_rows(tmp_path, rows, "shrink", "--q", "0.5", "--json")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: covariance has a non-finite eigenvalue\n"

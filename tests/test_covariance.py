@@ -6,7 +6,7 @@ from covreg.covariance import SampleCovariance, spectral_decompose
 from covreg.errors import NegativeEigenvalueError, ValidationError, ZeroVarianceAsset
 
 from conftest import (brute_force_covariance, near_duplicate_rows, one_factor_rows,
-                      random_demeaned, random_scm, spread_variance_rows)
+                      random_demeaned, random_scm, spectral_route, spread_variance_rows)
 
 
 def panel_from(rows):
@@ -161,18 +161,18 @@ class TestThinSvdPath:
     """A wide panel's thin SVD against eigh of the same C (the oracle)."""
 
     @pytest.mark.parametrize("n, t, wide", [(10, 5, True), (10, 6, False)])
-    def test_root_kept_only_when_wide(self, rng, n, t, wide):
+    def test_svd_only_when_wide(self, rng, monkeypatch, n, t, wide):
         scm = cr.sample_covariance(random_demeaned(rng, n, t))
-        assert (scm.root is not None) == wide
+        assert spectral_route(monkeypatch, scm) == ("svd" if wide else "eigh")
 
-    def test_from_matrix_has_no_root(self):
-        assert SampleCovariance.from_matrix(np.eye(3)).root is None
+    def test_from_matrix_takes_eigh(self, monkeypatch):
+        assert spectral_route(monkeypatch, SampleCovariance.from_matrix(np.eye(3))) == "eigh"
 
     @pytest.mark.parametrize("make", WIDE_PANELS.values(), ids=WIDE_PANELS.keys())
-    def test_agrees_with_eigh(self, rng, make):
+    def test_agrees_with_eigh(self, rng, monkeypatch, make):
         x = panel_from(make(rng))
         scm = cr.sample_covariance(x)
-        assert scm.root is not None
+        assert spectral_route(monkeypatch, scm) == "svd"
         svd = spectral_decompose(scm)
         eigh = spectral_decompose(SampleCovariance(c=scm.c, n_obs_minus_one=scm.n_obs_minus_one))
         lam_max = eigh.eigenvalues[0]

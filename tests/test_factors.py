@@ -242,6 +242,16 @@ class TestValidation:
                 with pytest.raises(ValidationError):
                     _with_fcm(rng, 4, phi)
 
+    @pytest.mark.parametrize("xi, omega, phi", [
+        ([1.0, 1.0], [[1.0], [np.inf]], [[np.nan]]),
+        ([1.0, np.inf], [[1.0], [1.0]], [[1.0]]),
+        ([1.0, 1.0], [[1.0], [-np.inf]], [[1.0]]),
+        ([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]),
+    ], ids=["loading_and_fcm", "specific_risk", "loading", "fcm"])
+    def test_non_finite_entry_rejected(self, xi, omega, phi):
+        with pytest.raises(ValidationError, match="non-finite"):
+            FactorModel(specific_risk=xi, loadings=omega, fcm=phi)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             FactorModel(
@@ -257,6 +267,12 @@ def test_json_round_trip(rng):
     np.testing.assert_array_equal(back.specific_risk, model.specific_risk)
     np.testing.assert_array_equal(back.loadings, model.loadings)
     np.testing.assert_array_equal(back.fcm, model.fcm)
+
+
+def test_json_with_nan_rejected():
+    payload = json.loads('{"n": 2, "k": 1, "xi": [1.0, NaN], "omega": [1.0, 0.5], "phi": [1.0]}')
+    with pytest.raises(ValidationError, match="non-finite"):
+        factor_model_from_json_dict(payload)
 
 
 def test_block_diagonal_assembly():

@@ -13,7 +13,7 @@ from covreg.harness import MethodConfig
 from covreg.regularizers import (TARGET_KINDS, ShrinkageSpec, build_target, shrink_dense,
                                  truncated_pc_model)
 
-from conftest import near_duplicate_rows, one_factor_rows, spread_variance_rows
+from conftest import counting_linalg, near_duplicate_rows, one_factor_rows, spread_variance_rows
 
 CLOSED_FORM_REL = 1e-12  # the expanded square rounds err^2 at eps (q||A|| + ||D||)^2
 RECORD_REL = 1e-11  # Gram-form records against dense direct norms
@@ -105,6 +105,22 @@ class TestBaiYin:
         rep = cr.bai_yin_check(n=100, m=400, trials=3, seed=11)
         assert rep.observed_max == pytest.approx(rep.lambda_max_limit, rel=0.10)
         assert rep.observed_min == pytest.approx(rep.lambda_min_limit, rel=0.10)
+
+    @pytest.mark.parametrize("n, m", [(60, 20), (12, 30)], ids=["wide", "tall"])
+    def test_extremes_match_full_spectrum(self, monkeypatch, n, m):
+        # oracle: eigvalsh of the N x N C of each trial's replayed panel; a wide
+        # trial reads the smaller T x T Gram instead, and no trial takes eigenvectors
+        mins, maxs = [], []
+        for child in np.random.SeedSequence(3).spawn(2):
+            ev = np.linalg.eigvalsh(np.cov(np.random.default_rng(child).standard_normal((n, m + 1))))
+            ev = ev[ev > 1e-10 * ev[-1]]
+            mins.append(ev[0])
+            maxs.append(ev[-1])
+        calls = counting_linalg(monkeypatch, "eigh", "svd")
+        rep = cr.bai_yin_check(n=n, m=m, trials=2, seed=3)
+        assert calls == []
+        assert rep.observed_min == pytest.approx(np.mean(mins), rel=1e-10)
+        assert rep.observed_max == pytest.approx(np.mean(maxs), rel=1e-10)
 
 
 class TestStability:
@@ -221,7 +237,7 @@ class TestGramRecords:
         n = rows.shape[0]
         panel = cr.ReturnsPanel(rows, tuple(f"A{i}" for i in range(n)))
         truth = np.cov(rows) + 0.1 * np.diag(np.cov(rows).diagonal())
-        _, _, scm_train, scm_test, _ = harness._split_scms(panel, 0.5)
+        _, _, scm_train, scm_test = harness._split_scms(panel, 0.5)
         spectral = spectral_decompose(scm_train)
         methods = [MethodConfig(kind="shrink", q=q, target_kind=kind)
                    for kind in TARGET_KINDS for q in (1e-6, 0.01, 0.5, 1.0)]
@@ -247,7 +263,7 @@ class TestGramRecords:
     @pytest.mark.parametrize("n, t", [(300, 61), (20, 201)], ids=["wide", "tall"])
     def test_leading_pc_matches_full_decomposition(self, rng, n, t):
         panel = cr.ReturnsPanel(one_factor_rows(rng, n, t), tuple(f"A{i}" for i in range(n)))
-        _, _, _, scm_test, _ = harness._split_scms(panel, 0.5)
+        _, _, _, scm_test = harness._split_scms(panel, 0.5)
         full = spectral_decompose(scm_test).components[0]
         v = harness._leading_pc(scm_test)
         assert min(np.abs(v - full).max(), np.abs(v + full).max()) <= PC_REL
@@ -271,6 +287,22 @@ class TestGramRecords:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4
+
+
+    @pytest.mark.parametrize("n_methods", [1, 4])
+    def test_wide_fit_takes_one_eigh(self, rng, monkeypatch, n_methods):
+        # the targets' factor parts are read off their FactorModels; the one
+        # eigh is the test segment's leading PC, and the q grid needs none
+        panel = cr.ReturnsPanel(one_factor_rows(rng, 60, 21), tuple(map(str, range(60))))
+        methods = [MethodConfig(kind="shrink", q=0.5, target_kind="constant_correlation"),
+                   MethodConfig(kind="scm_ridge"),
+                   MethodConfig(kind="truncated_pc", f_hat=1),
+                   MethodConfig(kind="truncated_pc", f_hat=1, target_kind="constant_correlation")]
+        calls = counting_linalg(monkeypatch, "eigh")
+        cr.grid_search_q(panel, "constant_correlation", [0.0, 0.5, 1.0], 0.5)
+        assert calls == []
+        cr.stability_experiment(panel, 0.5, methods[:n_methods])
+        assert calls == ["eigh"]
 
 
 class TestMethodConfig:
@@ -380,7 +412,7 @@ class TestGridSearch:
         # oracle: the dense shrunk train SCM against the test SCM, q by q
         rows = make(rng)
         panel = cr.ReturnsPanel(rows, tuple(f"A{i}" for i in range(rows.shape[0])))
-        _, _, scm_train, scm_test, _ = harness._split_scms(panel, 0.5)
+        _, _, scm_train, scm_test = harness._split_scms(panel, 0.5)
         target = build_target(scm_train, target_kind)
         grid = [i / 10 for i in range(11)]
         direct = []
