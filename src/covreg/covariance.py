@@ -28,7 +28,8 @@ class SampleCovariance:
     Built from a panel, it keeps the demeaned N x T panel x, with
     C = x x^T / n_obs_minus_one, rejects an asset of zero variance, and
     forms the dense c only on first read: variances and s^T C s come
-    from x in O(N T). Built from a matrix c, it has no x.
+    from x in O(N T), summed over rows scaled by powers of 2: an entry
+    overflows only if it is itself too large. Built from a matrix c, it has no x.
     """
 
     def __init__(self, c: np.ndarray | None, n_obs_minus_one: int,
@@ -36,14 +37,15 @@ class SampleCovariance:
         self.n_obs_minus_one, self.x = n_obs_minus_one, x
         self._c = self._gram_root = None
         if x is not None:
+            e, xs = _scaled_rows(x)
+            v = np.einsum("ij,ij->i", xs, xs) / n_obs_minus_one
             # |C_ij| <= sqrt(C_ii C_jj): finite variances keep all of C finite
-            with np.errstate(over="ignore"):  # an overflow fails the finiteness check
-                self.variances = np.einsum("ij,ij->i", x, x) / n_obs_minus_one
+            if np.any(np.frexp(v)[1] + 2 * e > 1024):
+                raise ValidationError("covariance has non-finite entries")
+            self.variances = np.ldexp(v, 2 * e)
             self.variances.setflags(write=False)
             if np.any(self.variances == 0):
                 raise ZeroVarianceAsset("asset with zero sample variance")
-            if not np.all(np.isfinite(self.variances)):
-                raise ValidationError("covariance has non-finite entries")
             return
         c = np.asarray(c, dtype=float)
         c.setflags(write=False)
@@ -60,9 +62,10 @@ class SampleCovariance:
     @property
     def c(self) -> np.ndarray:
         if self._c is None:
-            with np.errstate(over="ignore"):
-                c = (self.x @ self.x.T) / self.n_obs_minus_one
+            e, xs = _scaled_rows(self.x)
+            c = (xs @ xs.T) / self.n_obs_minus_one
             c = 0.5 * (c + c.T)  # exact symmetry; BLAS product is only near-symmetric
+            np.ldexp(c, e[:, None] + e, out=c)
             np.fill_diagonal(c, self.variances)
             c.setflags(write=False)
             self._c = c
@@ -142,6 +145,12 @@ class SpectralDecomposition:
         if self.n_positive == 0:
             return np.zeros((self.n_assets, self.n_assets))
         return (self.components.T * self.eigenvalues) @ self.components
+
+
+def _scaled_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, xs), x_i = 2^e_i xs_i with max |xs_i| in [1/2, 1): row products stay in range."""
+    e = np.frexp(np.maximum(x.max(axis=1), -x.min(axis=1)))[1]
+    return e, np.ldexp(x, -e[:, None])
 
 
 def sample_covariance(x: DemeanedPanel) -> SampleCovariance:

@@ -57,7 +57,7 @@ class FactorModel:
         # as W diag(max(theta, 0)) W^T with W = Omega V, Omega itself if V = I
         theta, w = np.diag(phi), omega
         if np.count_nonzero(phi) > np.count_nonzero(theta):
-            if not np.allclose(phi, phi.T, rtol=0, atol=1e-12 * max(1.0, np.abs(phi).max())):
+            if not np.allclose(phi, phi.T, rtol=0, atol=1e-12 * np.abs(phi).max()):
                 raise ValidationError("fcm must be symmetric")
             theta, basis = np.linalg.eigh(0.5 * (phi + phi.T))
             w = omega @ basis

@@ -12,8 +12,8 @@ import numpy as np
 
 from .covariance import (SampleCovariance, SpectralDecomposition, _quasi_null_threshold,
                          sample_covariance, spectral_decompose)
-from .errors import (DimensionMismatch, IllConditioned, InvalidSpec, SingularSpecificRisk,
-                     SplitTooSmall, ValidationError)
+from .errors import (DimensionMismatch, IllConditioned, InvalidSpec, NumericalError,
+                     SingularSpecificRisk, SplitTooSmall, ValidationError)
 from .factors import FactorModel, min_variance_weights
 from .panels import ReturnsPanel, demean
 from .regularizers import (
@@ -234,60 +234,34 @@ class _LowRank:
         self.h = (w * w) @ s if h is None else h
 
 
-def _exponent(a: np.ndarray) -> int:
-    """e with max |a| in [2^(e-1), 2^e), 0 for an empty or zero a."""
-    return int(np.frexp(max(a.max(initial=0.0), -a.min(initial=0.0)))[1])
-
-
-def _near_unit(a: np.ndarray) -> tuple[int, np.ndarray]:
-    """(e, 2^-e a): e = 0 while max |a| is in [2^-64, 2^64], else 2^-e max |a| is in [1/2, 1)."""
-    e = _exponent(a)
-    return (0, a) if abs(e) <= 64 else (e, np.ldexp(a, -e))
-
-
-def _scaled_form(basis):
-    """(t, f) with basis = 2^t f: f a _LowRank form (or the dense truth) near unit scale.
-
-    A SampleCovariance is R diag(1/M) R^T over its gram_root R. Powers
-    of 2 change no mantissa, so returns scaled by 2^k give the same f
-    and t + 2k. s and h are always copied: BLAS sums can depend on the
-    alignment of their operands.
-    """
-    if isinstance(basis, np.ndarray):
-        return _near_unit(basis)
-    if isinstance(basis, SampleCovariance):
-        w = basis.gram_root
-        basis = _LowRank(w, np.full(w.shape[1], 1.0 / basis.n_obs_minus_one), basis.variances)
-    (ew, w), es = _near_unit(basis.w), _exponent(basis.s)
-    t = 2 * ew + es
-    return t, _LowRank(w, np.ldexp(basis.s, -es), np.ldexp(basis.h, -t))
-
-
 class _OffdiagGram:
     """Gamma_ab = <offdiag B_a, offdiag B_b>_F over the bases of one run.
 
-    A basis is a _LowRank form, a SampleCovariance or a dense N x N array
-    (the truth). For two forms, Gamma_ab = s_a^T (P o P) s_b - h_a . h_b
-    with P = W_a^T W_b, in O(N r_a r_b); the truth enters through
-    truth @ W_a, the only O(N^2) step. Entries are kept as 2^-(t_a + t_b)
-    Gamma_ab over the forms of _scaled_form, so they stay finite where
-    Gamma_ab itself would overflow. Each form and entry is computed once
-    and kept with its bases, so their ids stay unique.
+    A basis is a _LowRank form, a SampleCovariance (R diag(1/M) R^T over
+    its gram_root R) or a dense N x N array (the truth). For two forms,
+    Gamma_ab = s_a^T (P o P) s_b - h_a . h_b with P = W_a^T W_b, in
+    O(N r_a r_b); the truth enters through truth @ W_a, the only O(N^2)
+    step. A run's bases are near unit scale (_split_scms), so every entry
+    is finite. Each entry is computed once and kept with its bases, so
+    their ids stay unique.
     """
 
     def __init__(self):
-        self._forms, self._entries = {}, {}
+        self._entries = {}
 
-    def _form(self, basis):
-        if id(basis) not in self._forms:
-            self._forms[id(basis)] = (basis, *_scaled_form(basis))
-        return self._forms[id(basis)][1:]
+    @staticmethod
+    def _form(basis):
+        """basis itself, or an SCM as R diag(1/M) R^T over its gram_root R."""
+        if not isinstance(basis, SampleCovariance):
+            return basis
+        w = basis.gram_root
+        return _LowRank(w, np.full(w.shape[1], 1.0 / basis.n_obs_minus_one), basis.variances)
 
     def entry(self, a, b) -> float:
-        """2^-(t_a + t_b) Gamma_ab."""
+        """Gamma_ab."""
         key = (id(a), id(b))
         if key not in self._entries:
-            (_, fa), (_, fb) = self._form(a), self._form(b)
+            fa, fb = self._form(a), self._form(b)
             if isinstance(fa, np.ndarray):
                 fa, fb = fb, fa
             if isinstance(fa, np.ndarray):
@@ -303,16 +277,11 @@ class _OffdiagGram:
     def norms(self, bases: list, coef: np.ndarray) -> np.ndarray:
         """||offdiag(sum_a coef[a, j] B_a)||_F = sqrt(max(c^T Gamma c, 0)) per column j.
 
-        Summed as 2^tau sqrt(c~^T Gamma~ c~) with c~_a = 2^(t_a - tau) c_a
-        and tau the largest t_a of a basis with a nonzero off-diagonal.
-        err^2 is rounded with an absolute error of order
-        eps sum |c_a c_b Gamma_ab|.
+        err^2 is rounded with an absolute error of order eps sum |c_a c_b Gamma_ab|.
         """
-        t = np.array([self._form(b)[0] for b in bases])
         gamma = np.array([[self.entry(a, b) for b in bases] for a in bases])
-        tau = int(t[np.diag(gamma) > 0].max(initial=t.min()))
-        c = np.ldexp(np.asarray(coef, dtype=float), (t - tau)[:, None])
-        return np.ldexp(np.sqrt(np.maximum(np.einsum("iq,ij,jq->q", c, gamma, c), 0.0)), tau)
+        c = np.asarray(coef, dtype=float)
+        return np.sqrt(np.maximum(np.einsum("iq,ij,jq->q", c, gamma, c), 0.0))
 
     def norm(self, terms: list) -> float:
         """norms of one list of (c_a, B_a) terms."""
@@ -321,14 +290,20 @@ class _OffdiagGram:
 
 
 def _leading_pc(scm: SampleCovariance) -> np.ndarray:
-    """Unit leading PC of scm: R u / ||R u||, u the top eigenvector of R^T R, R near unit scale."""
-    r = _near_unit(scm.gram_root)[1]
+    """Unit leading PC of scm: R u / ||R u||, u the top eigenvector of R^T R."""
+    r = scm.gram_root
     v = r @ np.linalg.eigh(r.T @ r)[1][:, -1]
     return v / np.linalg.norm(v)
 
 
 def _split_scms(panel: ReturnsPanel, split: float):
-    """(n_train, n_test, train SCM, test SCM) of a split."""
+    """(n_train, n_test, e, train SCM, test SCM) of a split, both SCMs of 2^-e returns.
+
+    e has max |returns| in [2^(e-1), 2^e), so the scaled cells are below 1
+    in magnitude. A power of 2 changes no mantissa: every fit, q and PC
+    comes out as at full scale, and each error or variance is 2^2e times
+    its scaled value. The full-scale SCMs must still be finite.
+    """
     if not 0.0 < split < 1.0:
         raise SplitTooSmall(f"split must be in (0, 1), got {split}")
     t = panel.n_obs
@@ -336,9 +311,24 @@ def _split_scms(panel: ReturnsPanel, split: float):
     n_test = t - n_train
     if n_train < 2 or n_test < 2:
         raise SplitTooSmall("both segments need at least 2 observations")
-    train = ReturnsPanel(panel.returns[:, :n_train], panel.asset_ids)
-    scm_test = sample_covariance(demean(ReturnsPanel(panel.returns[:, n_train:], panel.asset_ids)))
-    return n_train, n_test, sample_covariance(demean(train)), scm_test
+    r = panel.returns
+    e = int(np.frexp(max(r.max(), -r.min()))[1])
+    r = np.ldexp(r, -e)
+    scms = [sample_covariance(demean(ReturnsPanel(seg, panel.asset_ids)))
+            for seg in (r[:, :n_train], r[:, n_train:])]
+    # |C_ij| <= sqrt(C_ii C_jj): 2^2e C is finite where its variances are
+    if any(np.frexp(scm.variances.max())[1] + 2 * e > 1024 for scm in scms):
+        raise ValidationError("covariance has non-finite entries")
+    return n_train, n_test, e, *scms
+
+
+def _full_scale(value: float | None, e: int, name: str) -> float | None:
+    """2^2e value: a record of the scaled panel at the panel's own scale."""
+    if value is None:
+        return None
+    if np.frexp(value)[1] + 2 * e > 1024:
+        raise NumericalError(f"{name} exceeds the float range")
+    return float(np.ldexp(value, 2 * e))
 
 
 def stability_experiment(
@@ -354,9 +344,15 @@ def stability_experiment(
     test-segment SCMs (and to the truth matrix when supplied), plus the
     realized variance w^T C_2 w of the train-fitted minimum-variance
     weights on the test SCM C_2. Non-invertible fits are recorded, not raised.
-    truth, when given, must be a finite N x N matrix. The errors come
-    from _OffdiagGram, so no dense estimate or N x N difference is built;
-    the leading-PC overlap reads the test segment's top PC off its root.
+    The run fits 2^-e times the returns (_split_scms) and scales each
+    error and realized variance back by 2^2e; one beyond the float range
+    raises NumericalError. truth, when given, must be a finite N x N
+    matrix that fits the run's scale: it enters as 2^-2e truth, and N and
+    max |2^-2e truth|, each rounded up to a power of 2, must have a
+    product of at most 2^511, so its Gram entry stays below 2^1022. The
+    errors come from _OffdiagGram, so no dense estimate or N x N
+    difference is built; the leading-PC overlap reads the test segment's
+    top PC off its root.
     """
     if truth is not None:
         truth = np.asarray(truth, dtype=float)
@@ -365,7 +361,11 @@ def stability_experiment(
             raise DimensionMismatch(f"truth must be {n} x {n}, got shape {truth.shape}")
         if not np.all(np.isfinite(truth)):
             raise ValidationError("truth has non-finite entries")
-    n_train, n_test, scm_train, scm_test = _split_scms(panel, split)
+    n_train, n_test, e, scm_train, scm_test = _split_scms(panel, split)
+    if truth is not None:
+        if np.frexp(max(truth.max(), -truth.min()))[1] - 2 * e + n.bit_length() > 511:
+            raise ValidationError("truth does not fit the panel's scale")
+        truth = np.ldexp(truth, -2 * e)
     spectral_train = spectral_decompose(scm_train)
     pc_overlap = float(abs(spectral_train.components[0] @ _leading_pc(scm_test)))
 
@@ -373,24 +373,17 @@ def stability_experiment(
     records = []
     for cfg in methods:
         model, fit, in_sample = estimate_method(scm_train, spectral_train, cfg)
-        in_err = gram.norm(in_sample)
-        out_err = gram.norm(fit + [(-1.0, scm_test)])
-        truth_err = gram.norm(fit + [(-1.0, truth)]) if truth is not None else None
         try:
-            realized, invertible = scm_test.quadratic_form(min_variance_weights(model)), True
+            realized = scm_test.quadratic_form(min_variance_weights(model))
         except (SingularSpecificRisk, IllConditioned):
-            realized, invertible = None, False
-        records.append(
-            MethodRecord(
-                label=cfg.label,
-                in_sample_error=in_err,
-                out_of_sample_error=out_err,
-                realized_variance=realized,
-                invertible=invertible,
-                truth_error=truth_err,
-                leading_pc_overlap=pc_overlap,
-            )
-        )
+            realized = None
+        scaled = {"in_sample_error": gram.norm(in_sample),
+                  "out_of_sample_error": gram.norm(fit + [(-1.0, scm_test)]),
+                  "truth_error": None if truth is None else gram.norm(fit + [(-1.0, truth)]),
+                  "realized_variance": realized}
+        records.append(MethodRecord(
+            label=cfg.label, invertible=realized is not None, leading_pc_overlap=pc_overlap,
+            **{k: _full_scale(v, e, f"{cfg.label} {k}") for k, v in scaled.items()}))
     return StabilityReport(records=tuple(records), n_train=n_train, n_test=n_test)
 
 
@@ -428,11 +421,7 @@ def grid_search_q(
     for q in grid:
         if not 0.0 <= q <= 1.0:
             raise InvalidSpec(f"grid value {q} outside [0, 1]")
-    _, _, scm_train, scm_test = _split_scms(panel, split)
+    _, _, _, scm_train, scm_test = _split_scms(panel, split)
     target = build_target(scm_train, target_kind)
     errors = _grid_errors(scm_train, scm_test, target, grid)
-    best = min(
-        range(len(grid)),
-        key=lambda i: (errors[i], -grid[i]),
-    )
-    return grid[best]
+    return grid[min(range(len(grid)), key=lambda i: (errors[i], -grid[i]))]

@@ -91,6 +91,13 @@ def spread_variance_rows(rng, n, t):
     return rng.standard_normal((n, t)) * np.sqrt(np.logspace(-8, 4, n))[:, None]
 
 
+def collinear_rows(rng, n, t):
+    """n rows of one unit-variance series plus 1e-3 noise: variances near 1, lambda_max near n."""
+    base = rng.standard_normal(t)
+    base = (base - base.mean()) / base.std()
+    return base + 1e-3 * rng.standard_normal((n, t))
+
+
 def counting_linalg(monkeypatch, *names) -> list:
     """Patch the named np.linalg functions to append their name to the returned list."""
     calls = []

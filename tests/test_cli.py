@@ -16,6 +16,8 @@ from covreg.cli import METHOD_KEYS, main
 from covreg.errors import ParseError
 from covreg.serialize import factor_model_from_json_dict, matrix_from_csv
 
+from conftest import collinear_rows
+
 PANEL_CSV = (
     "id,t0,t1,t2,t3,t4\n"
     "AAA,0.010,0.020,-0.010,0.005,0.015\n"
@@ -430,14 +432,39 @@ class TestWidePanelNear1e153:
         assert_finite_records(proc.stdout)
 
 
+def test_eval_record_beyond_float_range_exits_3(tmp_path):
+    # every variance and eigenvalue is finite, but the out-of-sample error of
+    # 1000 assets near 1e153 is not: one error line, no warning, no JSON.
+    # The panel is the next draw after the two NEAR_1E153 panels
+    rng = np.random.default_rng(5)
+    for make in NEAR_1E153.values():
+        make(rng)
+    rows = 1e153 * rng.standard_normal((1000, 40))
+    proc = run_cli_on_rows(tmp_path, rows, "eval", "--json", *EVAL_METHODS)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("error: shrink(q=0.5,diagonal) out_of_sample_error"
+                           " exceeds the float range\n")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["scm"], 0, ""),
+    (["shrink", "--q", "0.5"], 2, "error: covariance has a non-finite eigenvalue\n"),
+    (["truncate", "--f-hat", "1"], 2, "error: covariance has a non-finite eigenvalue\n"),
+], ids=["scm", "shrink", "truncate"])
+def test_variances_near_float_limit(tmp_path, argv, code, err):
+    # sum_t x_it^2 overflows but each variance (up to 7.8e305) is finite; lambda_max is not
+    rows = 9e152 * collinear_rows(np.random.default_rng(5), 400, 250)
+    proc = run_cli_on_rows(tmp_path, rows, *argv)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    if code == 0:
+        assert np.isfinite(matrix_from_csv(proc.stdout)).all()
+
+
 @pytest.mark.parametrize("t", [40, 250], ids=["svd", "eigh"])
 def test_overflowing_spectrum_rejected(tmp_path, t):
     # 400 near-collinear assets: each variance near 6.4e305 is finite, the
     # leading eigenvalue near 400 times that is not
-    rng = np.random.default_rng(11)
-    base = rng.standard_normal(t)
-    base = (base - base.mean()) / base.std()
-    rows = 8e152 * (base + 1e-3 * rng.standard_normal((400, t)))
+    rows = 8e152 * collinear_rows(np.random.default_rng(11), 400, t)
     proc = run_cli_on_rows(tmp_path, rows, "shrink", "--q", "0.5", "--json")
     assert proc.returncode == 2
     assert proc.stderr == "error: covariance has a non-finite eigenvalue\n"

@@ -5,8 +5,9 @@ import covreg as cr
 from covreg.covariance import SampleCovariance, spectral_decompose
 from covreg.errors import NegativeEigenvalueError, ValidationError, ZeroVarianceAsset
 
-from conftest import (brute_force_covariance, near_duplicate_rows, one_factor_rows,
-                      random_demeaned, random_scm, spectral_route, spread_variance_rows)
+from conftest import (brute_force_covariance, collinear_rows, near_duplicate_rows,
+                      one_factor_rows, random_demeaned, random_scm, spectral_route,
+                      spread_variance_rows)
 
 
 def panel_from(rows):
@@ -40,6 +41,17 @@ class TestSampleCovariance:
     def test_zero_variance_asset_rejected(self):
         with pytest.raises(ZeroVarianceAsset):
             cr.sample_covariance(panel_from([[5, 5, 5], [1, 2, 3]]))
+
+
+    def test_variances_near_the_float_limit(self):
+        # sum_t x_it^2 near 250 x 7.8e305 overflows, the variance itself does not:
+        # rows scaled by powers of 2 give C exactly 2^1200 times C at 2^-600 scale
+        rows = collinear_rows(np.random.default_rng(5), 400, 250)
+        scm = cr.sample_covariance(panel_from(9e152 * rows))
+        small = cr.sample_covariance(panel_from(np.ldexp(9e152 * rows, -600)))
+        assert 7e305 < scm.variances.max() < np.finfo(float).max
+        np.testing.assert_array_equal(scm.variances, np.ldexp(small.variances, 1200))
+        np.testing.assert_array_equal(scm.c, np.ldexp(small.c, 1200))
 
 
 class TestSpectralDecompose:

@@ -260,6 +260,15 @@ class TestValidation:
                 fcm=[[1.0]],
             )
 
+    @pytest.mark.parametrize("k", [-80, 0, 80])
+    def test_symmetry_check_is_scale_free(self, k):
+        # the tolerance is relative to max |Phi|, so a power of 2 changes no verdict
+        asym = np.ldexp([[1.0, 0.5], [0.0, 1.0]], k)
+        with pytest.raises(ValidationError, match="symmetric"):
+            FactorModel(specific_risk=[1.0, 1.0], loadings=np.eye(2), fcm=asym)
+        near = np.ldexp([[1.0, 0.5], [0.5 * (1 + 1e-14), 1.0]], k)
+        FactorModel(specific_risk=[1.0, 1.0], loadings=np.eye(2), fcm=near)
+
 
 def test_json_round_trip(rng):
     model = random_pd_model(rng, 4, 2)

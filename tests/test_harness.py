@@ -1,5 +1,6 @@
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,17 @@ class TestStability:
             cr.stability_experiment(panel, 0.5, [MethodConfig(kind="shrink", q=0.5)],
                                     truth=truth)
 
+    def test_truth_beyond_the_panel_scale_rejected(self):
+        # the truth enters at the run's scale, 2^-2e with 2^e near 1e-160: a
+        # unit truth would be near 2^1062 there, so it is refused up front
+        panel = cr.generate_panel(cr.SyntheticSpec(n_assets=6, n_obs=30, seed=9))
+        tiny = cr.ReturnsPanel(1e-160 * panel.returns, panel.asset_ids)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="does not fit the panel's scale"):
+                cr.stability_experiment(tiny, 0.5, [MethodConfig(kind="shrink", q=0.5)],
+                                        truth=np.eye(6))
+
     @pytest.mark.parametrize("n_methods", [1, 4])
     def test_one_decomposition_per_segment(self, monkeypatch, n_methods):
         calls = []
@@ -237,7 +249,9 @@ class TestGramRecords:
         n = rows.shape[0]
         panel = cr.ReturnsPanel(rows, tuple(f"A{i}" for i in range(n)))
         truth = np.cov(rows) + 0.1 * np.diag(np.cov(rows).diagonal())
-        _, _, scm_train, scm_test = harness._split_scms(panel, 0.5)
+        # the oracles read the run's SCMs of 2^-e returns; records are 2^2e times them
+        _, _, e, scm_train, scm_test = harness._split_scms(panel, 0.5)
+        scaled_truth = np.ldexp(truth, -2 * e)
         spectral = spectral_decompose(scm_train)
         methods = [MethodConfig(kind="shrink", q=q, target_kind=kind)
                    for kind in TARGET_KINDS for q in (1e-6, 0.01, 0.5, 1.0)]
@@ -250,20 +264,21 @@ class TestGramRecords:
             target = targets[cfg.target_kind]
             if cfg.kind == "shrink":
                 est = shrink_dense(scm_train, ShrinkageSpec(q=cfg.q, target=target))
-                in_err = cfg.q * gaps[cfg.target_kind]
+                in_err = np.ldexp(cfg.q * gaps[cfg.target_kind], 2 * e)
                 assert rec.in_sample_error == pytest.approx(in_err, rel=IN_SAMPLE_REL, abs=0)
             else:
                 est = dense(truncated_pc_model(scm_train, spectral, target, cfg.f_hat).base)
-                in_err = offdiag_norm(est - scm_train.c)
+                in_err = np.ldexp(offdiag_norm(est - scm_train.c), 2 * e)
                 assert rec.in_sample_error == pytest.approx(in_err, rel=RECORD_REL, abs=0)
-            out_err = offdiag_norm(est - scm_test.c)
+            out_err = np.ldexp(offdiag_norm(est - scm_test.c), 2 * e)
             assert rec.out_of_sample_error == pytest.approx(out_err, rel=RECORD_REL, abs=0)
-            assert rec.truth_error == pytest.approx(offdiag_norm(est - truth), rel=RECORD_REL, abs=0)
+            truth_err = np.ldexp(offdiag_norm(est - scaled_truth), 2 * e)
+            assert rec.truth_error == pytest.approx(truth_err, rel=RECORD_REL, abs=0)
 
     @pytest.mark.parametrize("n, t", [(300, 61), (20, 201)], ids=["wide", "tall"])
     def test_leading_pc_matches_full_decomposition(self, rng, n, t):
         panel = cr.ReturnsPanel(one_factor_rows(rng, n, t), tuple(f"A{i}" for i in range(n)))
-        _, _, _, scm_test = harness._split_scms(panel, 0.5)
+        _, _, _, _, scm_test = harness._split_scms(panel, 0.5)
         full = spectral_decompose(scm_test).components[0]
         v = harness._leading_pc(scm_test)
         assert min(np.abs(v - full).max(), np.abs(v + full).max()) <= PC_REL
@@ -412,7 +427,7 @@ class TestGridSearch:
         # oracle: the dense shrunk train SCM against the test SCM, q by q
         rows = make(rng)
         panel = cr.ReturnsPanel(rows, tuple(f"A{i}" for i in range(rows.shape[0])))
-        _, _, scm_train, scm_test = harness._split_scms(panel, 0.5)
+        _, _, _, scm_train, scm_test = harness._split_scms(panel, 0.5)
         target = build_target(scm_train, target_kind)
         grid = [i / 10 for i in range(11)]
         direct = []

@@ -87,15 +87,28 @@ def test_weights_exact_under_power_of_two_scaling(k):
 
 @pytest.mark.parametrize("k", [332, -300])
 def test_records_exact_under_power_of_two_scaling(k):
-    # returns times 2^k: every error and realized variance times 2^2k, same overlap
+    # returns times 2^k and truth times 2^2k: every error and realized
+    # variance times 2^2k, same overlap
     panel = one_factor_panel(40, 12)
     scaled = cr.ReturnsPanel(returns=np.ldexp(panel.returns, k), asset_ids=panel.asset_ids)
+    truth = np.cov(panel.returns) + np.eye(panel.n_assets)
     methods = [cr.MethodConfig("shrink", q=0.5, target_kind="constant_correlation"),
                cr.MethodConfig("truncated_pc", f_hat=1), cr.MethodConfig("scm_ridge")]
-    base = cr.stability_experiment(panel, 0.5, methods).records
-    got = cr.stability_experiment(scaled, 0.5, methods).records
+    base = cr.stability_experiment(panel, 0.5, methods, truth=truth).records
+    got = cr.stability_experiment(scaled, 0.5, methods, truth=np.ldexp(truth, 2 * k)).records
     for a, b in zip(base, got):
         assert b.invertible
-        for field in ("in_sample_error", "out_of_sample_error", "realized_variance"):
+        for field in ("in_sample_error", "out_of_sample_error", "realized_variance",
+                      "truth_error"):
             assert getattr(b, field) == np.ldexp(getattr(a, field), 2 * k), field
         assert b.leading_pc_overlap == a.leading_pc_overlap
+
+
+@pytest.mark.parametrize("k", [332, -300])
+@pytest.mark.parametrize("target_kind", ["diagonal", "constant_correlation"])
+def test_grid_q_unchanged_under_power_of_two_scaling(k, target_kind):
+    panel = one_factor_panel(40, 12)
+    scaled = cr.ReturnsPanel(returns=np.ldexp(panel.returns, k), asset_ids=panel.asset_ids)
+    grid = [i / 20 for i in range(21)]
+    q = cr.grid_search_q(panel, target_kind, grid, 0.5)
+    assert cr.grid_search_q(scaled, target_kind, grid, 0.5) == q
