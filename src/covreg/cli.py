@@ -14,21 +14,11 @@ from . import harness, regularizers, serialize
 from .covariance import SampleCovariance, sample_covariance, spectral_decompose
 from .errors import NumericalError, ParseError, ValidationError
 from .factors import dense
-from .panels import ReturnsPanel, demean, loads_panel
+from .panels import demean, load_panel, read_text
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-
-def _read_text(path: str) -> str:
-    try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: input is not UTF-8 text") from None
 
 
 def _write(text: str, path: str | None) -> None:
@@ -39,15 +29,11 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _read_panel(args) -> ReturnsPanel:
-    return loads_panel(_read_text(args.input), header=not args.no_header)
-
-
 def _load_scm(args) -> SampleCovariance:
     if getattr(args, "from_matrix", False):
-        m = serialize.matrix_from_csv(_read_text(args.input))
+        m = serialize.matrix_from_csv(read_text(args.input))
         return SampleCovariance.from_matrix(m)
-    return sample_covariance(demean(_read_panel(args)))
+    return sample_covariance(demean(load_panel(args.input, header=not args.no_header)))
 
 
 def _number(cast, text: str, name: str):
@@ -68,8 +54,9 @@ def _emit(dense_out, model_json: dict, args) -> None:
                    "factor_model": model_json}
         _write(serialize.dumps(payload) + "\n", args.output)
     else:
+        model_text = serialize.dumps(model_json)  # first, so its error writes nothing
         _write(serialize.matrix_to_csv(dense_out), args.output)
-        sys.stderr.write(serialize.dumps(model_json) + "\n")
+        sys.stderr.write(model_text + "\n")
 
 
 def _cmd_scm(args) -> None:
@@ -136,7 +123,8 @@ def _parse_methods(specs: list[str]) -> list[harness.MethodConfig]:
 
 def _cmd_eval(args) -> None:
     methods = _parse_methods(args.method)
-    report = harness.stability_experiment(_read_panel(args), args.split, methods)
+    panel = load_panel(args.input, header=not args.no_header)
+    report = harness.stability_experiment(panel, args.split, methods)
     if args.json:
         _write(serialize.dumps(report.to_json_dict()) + "\n", args.output)
     else:
@@ -161,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", default=None,
                        help="output path, default stdout")
         p.add_argument("--no-header", action="store_true",
-                       help="panel CSV has no header row; ids synthesized")
+                       help="panel CSV has no header row; column 0 holds ids unless"
+                            " its first cell is a number (then ids A0001, ...)")
         p.add_argument("--json", action="store_true",
                        help="emit JSON instead of CSV")
         if matrix_ok:

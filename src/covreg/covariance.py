@@ -37,7 +37,9 @@ class SampleCovariance:
         self.n_obs_minus_one, self.x = n_obs_minus_one, x
         self._c = self._gram_root = None
         if x is not None:
-            e, xs = _scaled_rows(x)
+            # x_i = 2^e_i xs_i with max |xs_i| in [1/2, 1): row products stay in range
+            self._e = e = np.frexp(np.maximum(x.max(axis=1), -x.min(axis=1)))[1]
+            xs = np.ldexp(x, -e[:, None])
             v = np.einsum("ij,ij->i", xs, xs) / n_obs_minus_one
             # |C_ij| <= sqrt(C_ii C_jj): finite variances keep all of C finite
             if np.any(np.frexp(v)[1] + 2 * e > 1024):
@@ -62,10 +64,10 @@ class SampleCovariance:
     @property
     def c(self) -> np.ndarray:
         if self._c is None:
-            e, xs = _scaled_rows(self.x)
+            xs = np.ldexp(self.x, -self._e[:, None])
             c = (xs @ xs.T) / self.n_obs_minus_one
             c = 0.5 * (c + c.T)  # exact symmetry; BLAS product is only near-symmetric
-            np.ldexp(c, e[:, None] + e, out=c)
+            np.ldexp(c, self._e[:, None] + self._e, out=c)
             np.fill_diagonal(c, self.variances)
             c.setflags(write=False)
             self._c = c
@@ -145,12 +147,6 @@ class SpectralDecomposition:
         if self.n_positive == 0:
             return np.zeros((self.n_assets, self.n_assets))
         return (self.components.T * self.eigenvalues) @ self.components
-
-
-def _scaled_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(e, xs), x_i = 2^e_i xs_i with max |xs_i| in [1/2, 1): row products stay in range."""
-    e = np.frexp(np.maximum(x.max(axis=1), -x.min(axis=1)))[1]
-    return e, np.ldexp(x, -e[:, None])
 
 
 def sample_covariance(x: DemeanedPanel) -> SampleCovariance:

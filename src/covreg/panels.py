@@ -5,14 +5,14 @@ one row per asset, asset id in the first column, one column per
 observation, optional single header row. Missing values are a hard
 error; there is no imputation path.
 
-This module owns the cell grammar of every numeric CSV, panels and the
-matrices read by ``serialize`` alike: ``parse_cells``.
+This module owns the one path from input to cells of every numeric CSV,
+panels and ``serialize``'s matrices alike: ``read_text`` decodes,
+``csv_rows`` splits rows and ``parse_cells`` parses cells.
 """
 
 from __future__ import annotations
 
-import io
-import os
+import sys
 from dataclasses import dataclass
 from itertools import chain
 
@@ -132,29 +132,42 @@ def _parse_cell(token: str, row: int, col: int) -> float:
     return value
 
 
-def load_panel(source, header: bool = True) -> ReturnsPanel:
-    """Parse a CSV stream (or path) into a ReturnsPanel.
+def read_text(path) -> str:
+    """UTF-8 text of a file, or of stdin's bytes for "-"; ParseError if not UTF-8."""
+    try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: input is not UTF-8 text") from None
+
+
+def csv_rows(text: str) -> list[list[str]]:
+    """Non-blank lines, split on commas, of text less a leading U+FEFF (BOM).
+
+    A line ends at any line boundary of a str: \\n, \\r\\n and \\r read alike.
+    """
+    lines = text.removeprefix("\ufeff").splitlines()
+    return [line.split(",") for line in lines if line.strip()]
+
+
+def load_panel(path, header: bool = True) -> ReturnsPanel:
+    """Read a panel CSV from a path, or from stdin for "-"; see loads_panel."""
+    return loads_panel(read_text(path), header)
+
+
+def loads_panel(text: str, header: bool = True) -> ReturnsPanel:
+    """Parse a panel from CSV text, rows as csv_rows.
 
     With header=False the first column still holds asset ids unless the
     first row's first cell parses as a number, in which case ids are
     synthesized as A0001, A0002, ...
     """
-    if isinstance(source, (str, bytes, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_panel(fh, header=header)
-
-    try:
-        lines = [ln for ln in (raw.rstrip("\r\n") for raw in source) if ln.strip()]
-    except UnicodeDecodeError:
-        raise ParseError("input is not UTF-8 text") from None
-    if header:
-        if not lines:
-            raise ParseError("empty input")
-        lines = lines[1:]
-    if not lines:
+    rows = csv_rows(text)[1 if header else 0:]
+    if not rows:
         raise ParseError("no data rows")
 
-    rows = [ln.split(",") for ln in lines]
     width = len(rows[0])
     for i, cells in enumerate(rows):
         if len(cells) != width:
@@ -178,8 +191,3 @@ def load_panel(source, header: bool = True) -> ReturnsPanel:
         raise TooFewObservations("no observation columns")
 
     return ReturnsPanel(returns=parse_cells(data_cells), asset_ids=tuple(asset_ids))
-
-
-def loads_panel(text: str, header: bool = True) -> ReturnsPanel:
-    """Convenience wrapper: parse a panel from a CSV string."""
-    return load_panel(io.StringIO(text), header=header)

@@ -1,9 +1,9 @@
 """The one home of the CLI's file formats: matrix CSV and result JSON.
 
-CSV matrices are dense, headerless, 12 significant digits. Their cells
-follow the one numeric-CSV cell grammar, owned by ``panels.parse_cells``;
-this module adds only the square-shape rule. JSON carries full double
-round-trip precision (plain repr of Python floats).
+CSV matrices are dense, headerless, 12 significant digits. Their rows
+and cells follow the numeric-CSV grammar of ``panels.csv_rows`` and
+``panels.parse_cells``; this module adds only the square-shape rule.
+JSON holds finite floats only, at full round-trip precision (repr).
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import json
 import numpy as np
 
 from .covariance import SpectralDecomposition
-from .errors import ParseError
+from .errors import NumericalError, ParseError
 from .factors import FactorModel
-from .panels import parse_cells
+from .panels import csv_rows, parse_cells
 from .regularizers import ShrunkFactorModel, TruncatedPCModel
 
 CSV_FORMAT = "%.12g"
@@ -29,8 +29,8 @@ def matrix_to_csv(m: np.ndarray) -> str:
 
 
 def matrix_from_csv(text: str) -> np.ndarray:
-    """Parse a headerless matrix CSV; ParseError unless square, cells as parse_cells."""
-    rows = [line.split(",") for line in text.splitlines() if line.strip()]
+    """Parse a headerless matrix CSV; ParseError unless square, rows and cells as panels."""
+    rows = csv_rows(text)
     if not rows:
         raise ParseError("empty matrix")
     n = len(rows)
@@ -88,4 +88,8 @@ def truncated_to_json_dict(model: TruncatedPCModel) -> dict:
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj)
+    """JSON text of obj; NumericalError on a non-finite float, which JSON cannot hold."""
+    try:
+        return json.dumps(obj, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"cannot write JSON: {exc}") from None

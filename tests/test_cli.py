@@ -197,10 +197,11 @@ def test_rho_auto_matches_estimate(panel_path, capsys):
 
 
 def run_with_stdin(argv, stdin=""):
-    """main() with stdin/stdout/stderr swapped for strings (no fixtures)."""
+    """main() with stdin (str as UTF-8, or bytes) and stdout/stderr swapped (no fixtures)."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
+    data = stdin if isinstance(stdin, bytes) else stdin.encode("utf-8")
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), newline="\n")  # as on POSIX: no translation
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -270,6 +271,62 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, command):
     assert out == ""
     assert_one_line_error(code, err)
     assert "UTF-8" in err
+
+
+def test_non_utf8_stdin_exits_2():
+    # a real pipe, decoded by a locale that would accept any byte: stdin's
+    # bytes must still be read as UTF-8, as a file's are
+    src = pathlib.Path(cr.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "covreg.cli", "scm", "-i", "-"],
+        input=b"\xff\xfe\x00\x01not text\n", capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "latin-1"},
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: -: input is not UTF-8 text\n"
+
+
+NO_HEADER_CSV = "".join(line.split(",", 1)[1] + "\n" for line in PANEL_CSV.splitlines()[1:])
+SPD_CSV = "2,0.5,0\n0.5,1,0.25\n0,0.25,3\n"
+
+
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("argv, text", [(["scm"], PANEL_CSV),
+                                        (["scm", "--no-header"], NO_HEADER_CSV),
+                                        (["spectral"], SPD_CSV)],
+                         ids=["scm", "scm-no-header", "spectral"])
+def test_same_bytes_same_output_from_path_and_stdin(tmp_path, argv, text, eol, bom):
+    data = (bom + text.replace("\n", eol)).encode()
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    want = run_with_stdin([*argv, "-i", "-"], text)
+    assert want[0] == 0
+    assert run_with_stdin([*argv, "-i", str(path)]) == want
+    assert run_with_stdin([*argv, "-i", "-"], data) == want
+
+
+def raise_on_constant(name):
+    raise AssertionError(f"non-finite JSON constant {name}")
+
+
+def test_every_json_output_is_strict(panel_path, eval_panel_path, tmp_path):
+    matrix = tmp_path / "spd.csv"
+    matrix.write_text(SPD_CSV)
+    runs = [
+        (["scm", "-i", panel_path, "--json"], "out"),
+        (["spectral", "-i", str(matrix)], "out"),
+        (["shrink", "-i", panel_path, "--q", "0.5", "--json"], "out"),
+        (["shrink", "-i", panel_path, "--q", "0.5"], "err"),
+        (["truncate", "-i", panel_path, "--f-hat", "1", "--json"], "out"),
+        (["truncate", "-i", panel_path, "--f-hat", "1"], "err"),
+        (["eval", "-i", eval_panel_path, "--json", *EVAL_METHODS], "out"),
+        (["baiyin", "--n", "8", "--m", "32", "--trials", "2"], "out"),
+    ]
+    for argv, stream in runs:
+        code, out, err = run_with_stdin(argv)
+        assert code == 0, argv
+        json.loads(out if stream == "out" else err, parse_constant=raise_on_constant)
 
 
 def test_range_errors_come_from_the_library(panel_path, capsys):

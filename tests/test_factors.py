@@ -5,7 +5,7 @@ import pytest
 
 import covreg as cr
 from covreg import factors
-from covreg.errors import IllConditioned, SingularSpecificRisk, ValidationError
+from covreg.errors import IllConditioned, NumericalError, SingularSpecificRisk, ValidationError
 from covreg.factors import COND_LIMIT, FactorModel
 from covreg.serialize import (
     dumps,
@@ -282,6 +282,13 @@ def test_json_with_nan_rejected():
     payload = json.loads('{"n": 2, "k": 1, "xi": [1.0, NaN], "omega": [1.0, 0.5], "phi": [1.0]}')
     with pytest.raises(ValidationError, match="non-finite"):
         factor_model_from_json_dict(payload)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_dumps_rejects_non_finite(value):
+    # JSON has no Infinity or NaN; json.dumps would write them anyway
+    with pytest.raises(NumericalError):
+        dumps({"x": value})
 
 
 def test_block_diagonal_assembly():

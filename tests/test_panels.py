@@ -1,4 +1,6 @@
+import io
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -126,16 +128,37 @@ def assert_one_cell_grammar(read, grid):
         assert str(exc.value).endswith(f"at row {bad[0]}, column {bad[1]}")
 
 
-@given(token_grids())
+EOLS = ["\n", "\r\n", "\r"]
+BOMS = ["", "\ufeff"]
+
+
+@given(token_grids(), st.sampled_from(EOLS), st.sampled_from(BOMS))
 @settings(max_examples=200)
-def test_panel_and_matrix_share_one_cell_grammar(grid):
-    header = "id," + ",".join(f"t{j}" for j in range(len(grid[0]))) + "\n"
-    panel = header + "".join(
-        f"A{i}," + ",".join(row) + "\n" for i, row in enumerate(grid))
+def test_panel_and_matrix_share_one_cell_grammar(grid, eol, bom):
+    header = "id," + ",".join(f"t{j}" for j in range(len(grid[0]))) + eol
+    panel = bom + header + "".join(
+        f"A{i}," + ",".join(row) + eol for i, row in enumerate(grid))
     assert_one_cell_grammar(lambda: cr.loads_panel(panel).returns, grid)
     if len(grid) == len(grid[0]):
-        matrix = "".join(",".join(row) + "\n" for row in grid)
+        matrix = bom + "".join(",".join(row) + eol for row in grid)
         assert_one_cell_grammar(lambda: matrix_from_csv(matrix), grid)
+
+
+@pytest.mark.parametrize("bom", BOMS, ids=["plain", "bom"])
+@pytest.mark.parametrize("eol", EOLS, ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("text, header", [(CSV, True), ("0.01,0.02\n0.03,0.05\n", False)],
+                         ids=["header", "no-header"])
+def test_same_bytes_same_panel_from_string_path_and_stdin(tmp_path, monkeypatch,
+                                                          text, header, eol, bom):
+    data = (bom + text.replace("\n", eol)).encode()
+    path = tmp_path / "panel.csv"
+    path.write_bytes(data)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), newline="\n"))
+    want = cr.loads_panel(text, header)
+    for panel in (cr.loads_panel(data.decode(), header), cr.load_panel(path, header),
+                  cr.load_panel("-", header)):
+        np.testing.assert_array_equal(panel.returns, want.returns)
+        assert panel.asset_ids == want.asset_ids
 
 
 def test_demean_simple_rows():
