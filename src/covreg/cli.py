@@ -21,12 +21,13 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(path: str | None, *texts: str) -> None:
+    """Write texts one after another, so no output is copied to append its newline."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(texts)
 
 
 def _load_scm(args) -> SampleCovariance:
@@ -52,26 +53,24 @@ def _emit(dense_out, model_json: dict, args) -> None:
     if args.json:
         payload = {"dense": serialize.matrix_to_json_dict(dense_out),
                    "factor_model": model_json}
-        _write(serialize.dumps(payload) + "\n", args.output)
+        _write(args.output, serialize.dumps(payload), "\n")
     else:
         model_text = serialize.dumps(model_json)  # first, so its error writes nothing
-        _write(serialize.matrix_to_csv(dense_out), args.output)
+        _write(args.output, serialize.matrix_to_csv(dense_out))
         sys.stderr.write(model_text + "\n")
 
 
 def _cmd_scm(args) -> None:
     scm = _load_scm(args)
     if args.json:
-        _write(serialize.dumps(serialize.matrix_to_json_dict(scm.c)) + "\n",
-               args.output)
+        _write(args.output, serialize.dumps(serialize.matrix_to_json_dict(scm.c)), "\n")
     else:
-        _write(serialize.matrix_to_csv(scm.c), args.output)
+        _write(args.output, serialize.matrix_to_csv(scm.c))
 
 
 def _cmd_spectral(args) -> None:
     spectral = spectral_decompose(_load_scm(args))
-    _write(serialize.dumps(serialize.spectral_to_json_dict(spectral)) + "\n",
-           args.output)
+    _write(args.output, serialize.dumps(serialize.spectral_to_json_dict(spectral)), "\n")
 
 
 def _cmd_shrink(args) -> None:
@@ -126,14 +125,14 @@ def _cmd_eval(args) -> None:
     panel = load_panel(args.input, header=not args.no_header)
     report = harness.stability_experiment(panel, args.split, methods)
     if args.json:
-        _write(serialize.dumps(report.to_json_dict()) + "\n", args.output)
+        _write(args.output, serialize.dumps(report.to_json_dict()), "\n")
     else:
-        _write(report.to_table() + "\n", args.output)
+        _write(args.output, report.to_table(), "\n")
 
 
 def _cmd_baiyin(args) -> None:
     report = harness.bai_yin_check(args.n, args.m, args.trials, args.seed)
-    _write(serialize.dumps(report.to_json_dict()) + "\n", args.output)
+    _write(args.output, serialize.dumps(report.to_json_dict()), "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

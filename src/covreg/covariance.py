@@ -66,7 +66,9 @@ class SampleCovariance:
         if self._c is None:
             xs = np.ldexp(self.x, -self._e[:, None])
             c = (xs @ xs.T) / self.n_obs_minus_one
-            c = 0.5 * (c + c.T)  # exact symmetry; BLAS product is only near-symmetric
+            # exact symmetry, which also lets serialize's writers format each
+            # mirrored pair once; the BLAS product is only near-symmetric
+            c = 0.5 * (c + c.T)
             np.ldexp(c, self._e[:, None] + self._e, out=c)
             np.fill_diagonal(c, self.variances)
             c.setflags(write=False)
