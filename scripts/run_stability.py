@@ -35,8 +35,8 @@ def main():
     sums = {m.label: np.zeros(3) for m in methods}
     for seed in range(args.seeds):
         spec = cr.SyntheticSpec(
-            n_assets=args.n_assets, n_obs=args.n_obs, generator="one_factor",
-            seed=seed, factor_variance=args.factor_variance,
+            n_assets=args.n_assets, n_obs=args.n_obs, seed=seed,
+            beta=np.ones(args.n_assets), factor_variance=args.factor_variance,
         )
         report = cr.stability_experiment(
             cr.generate_panel(spec), args.split, methods,

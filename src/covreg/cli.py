@@ -95,7 +95,7 @@ METHOD_KEYS = ("q", "f_hat", "target", "rho")
 
 
 def _parse_methods(specs: list[str]) -> list[harness.MethodConfig]:
-    """kind[,key=value...] with keys from METHOD_KEYS -> MethodConfig."""
+    """kind[,key=value...] with distinct keys from METHOD_KEYS -> MethodConfig."""
     methods = []
     for raw in specs:
         kind, *tokens = raw.split(",")
@@ -107,6 +107,8 @@ def _parse_methods(specs: list[str]) -> list[harness.MethodConfig]:
                     f"method spec {raw!r}: expected key=value with key in "
                     f"{', '.join(METHOD_KEYS)}, got {token!r}"
                 )
+            if key in parts:
+                raise ParseError(f"method spec {raw!r}: key {key!r} given twice")
             parts[key] = value
         methods.append(
             harness.MethodConfig(

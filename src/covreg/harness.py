@@ -15,7 +15,7 @@ from .covariance import (SampleCovariance, SpectralDecomposition, _quasi_null_th
 from .errors import (DimensionMismatch, IllConditioned, InvalidSpec, NumericalError,
                      SingularSpecificRisk, SplitTooSmall, ValidationError)
 from .factors import FactorModel, min_variance_weights
-from .panels import ReturnsPanel, demean
+from .panels import ReturnsPanel, demean, synthetic_ids
 from .regularizers import (
     TARGET_KINDS,
     ShrinkageSpec,
@@ -24,65 +24,58 @@ from .regularizers import (
     truncated_pc_model,
 )
 
-GENERATORS = ("iid_unit", "one_factor")
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Deterministic synthetic-panel recipe."""
+    """Deterministic K-factor panel recipe: returns = beta f + eps.
+
+    beta is N x K, (N,) for K = 1, or None for K = 0 (the iid panel). The
+    K factors are iid N(0, factor_variance) and eps_i is N(0,
+    specific_variances[i]), unit by default. seed is a non-negative int
+    or a SeedSequence.
+    """
 
     n_assets: int
     n_obs: int
-    generator: str = "iid_unit"
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0
     beta: np.ndarray | None = None
     factor_variance: float = 1.0
     specific_variances: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.generator not in GENERATORS:
-            raise InvalidSpec(f"unknown generator {self.generator!r}")
-        if self.n_assets < 2 or self.n_obs < 2:
+        n = self.n_assets
+        if n < 2 or self.n_obs < 2:
             raise InvalidSpec("need n_assets >= 2 and n_obs >= 2")
-        if self.generator == "one_factor":
-            beta = np.asarray(
-                self.beta if self.beta is not None else np.ones(self.n_assets),
-                dtype=float,
-            )
-            sv = np.asarray(
-                self.specific_variances
-                if self.specific_variances is not None
-                else np.ones(self.n_assets),
-                dtype=float,
-            )
-            if beta.shape != (self.n_assets,) or sv.shape != (self.n_assets,):
-                raise InvalidSpec("beta/specific_variances must have length N")
-            if self.factor_variance < 0 or np.any(sv < 0):
-                raise InvalidSpec("variances must be non-negative")
-            beta.setflags(write=False)
-            sv.setflags(write=False)
-            object.__setattr__(self, "beta", beta)
-            object.__setattr__(self, "specific_variances", sv)
+        if not (isinstance(self.seed, np.random.SeedSequence)
+                or (isinstance(self.seed, (int, np.integer)) and self.seed >= 0)):
+            raise InvalidSpec(f"seed must be a non-negative int or a SeedSequence, "
+                              f"got {self.seed!r}")
+        beta = np.zeros((n, 0)) if self.beta is None else np.array(self.beta, dtype=float)
+        if beta.ndim == 1:
+            beta = beta[:, None]
+        sv = np.ones(n) if self.specific_variances is None else np.array(
+            self.specific_variances, dtype=float)
+        if beta.ndim != 2 or beta.shape[0] != n or sv.shape != (n,):
+            raise InvalidSpec("beta must be N x K or (N,), specific_variances (N,)")
+        if self.factor_variance < 0 or np.any(sv < 0):
+            raise InvalidSpec("variances must be non-negative")
+        beta.setflags(write=False)
+        sv.setflags(write=False)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "specific_variances", sv)
 
     def true_covariance(self) -> np.ndarray:
-        if self.generator == "iid_unit":
-            return np.eye(self.n_assets)
-        cov = self.factor_variance * np.outer(self.beta, self.beta)
-        return cov + np.diag(self.specific_variances)
+        return self.factor_variance * (self.beta @ self.beta.T) + np.diag(self.specific_variances)
 
 
 def generate_panel(spec: SyntheticSpec) -> ReturnsPanel:
-    """Draw a seeded panel; same spec gives bitwise-identical output."""
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    n, t = spec.n_assets, spec.n_obs
-    if spec.generator == "iid_unit":
-        data = rng.standard_normal((n, t))
-    else:
-        f = np.sqrt(spec.factor_variance) * rng.standard_normal(t)
-        eps = rng.standard_normal((n, t)) * np.sqrt(spec.specific_variances)[:, None]
-        data = spec.beta[:, None] * f[None, :] + eps
-    ids = tuple(f"A{i + 1:04d}" for i in range(n))
-    return ReturnsPanel(returns=data, asset_ids=ids)
+    """Draw a seeded panel, the factors first; same spec gives bitwise-identical output."""
+    rng = np.random.default_rng(spec.seed)
+    f = np.sqrt(spec.factor_variance) * rng.standard_normal((spec.beta.shape[1], spec.n_obs))
+    returns = rng.standard_normal((spec.n_assets, spec.n_obs))
+    returns *= np.sqrt(spec.specific_variances)[:, None]
+    returns += spec.beta @ f
+    return ReturnsPanel(returns=returns, asset_ids=synthetic_ids(spec.n_assets))
 
 
 @dataclass(frozen=True)
@@ -103,22 +96,18 @@ class BaiYinReport:
 def bai_yin_check(n: int, m: int, trials: int, seed: int) -> BaiYinReport:
     """Monte Carlo check of the (1 +- sqrt(y))^2 eigenvalue edges.
 
-    Averages the extreme positive eigenvalues of demeaned unit-variance
-    SCMs, read off eigvalsh with no eigenvectors. When m < n the
-    smallest *positive* eigenvalue stands in for the minimum.
+    Averages the extreme positive eigenvalues of the demeaned SCMs of iid
+    unit-variance panels, one generate_panel draw per spawned seed, read
+    off eigvalsh with no eigenvectors. When m < n the smallest *positive*
+    eigenvalue stands in for the minimum.
     """
-    if n < 2 or m < 2 or trials < 1:
-        raise InvalidSpec("need n, m >= 2 and trials >= 1")
+    if n < 2 or m < 2 or trials < 1 or seed < 0:
+        raise InvalidSpec("need n, m >= 2, trials >= 1 and seed >= 0")
     y = n / m
     seeds = np.random.SeedSequence(seed).spawn(trials)
 
     def one_trial(child) -> tuple[float, float]:
-        rng = np.random.default_rng(child)
-        data = rng.standard_normal((n, m + 1))
-        panel = ReturnsPanel(
-            returns=data, asset_ids=tuple(f"A{i + 1:04d}" for i in range(n))
-        )
-        scm = sample_covariance(demean(panel))
+        scm = sample_covariance(demean(generate_panel(SyntheticSpec(n, m + 1, seed=child))))
         # C's positive eigenvalues are those of the smaller Gram x^T x / M when T < N
         evals = np.linalg.eigvalsh(scm.c if n <= m + 1 else scm.x.T @ scm.x / m)
         evals = evals[evals > _quasi_null_threshold(evals)]

@@ -152,6 +152,11 @@ def csv_rows(text: str) -> list[list[str]]:
     return [line.split(",") for line in lines if line.strip()]
 
 
+def synthetic_ids(n: int) -> tuple[str, ...]:
+    """The ids A0001, A0002, ... of n assets that have none of their own."""
+    return tuple(f"A{i + 1:04d}" for i in range(n))
+
+
 def load_panel(path, header: bool = True) -> ReturnsPanel:
     """Read a panel CSV from a path, or from stdin for "-"; see loads_panel."""
     return loads_panel(read_text(path), header)
@@ -184,7 +189,7 @@ def loads_panel(text: str, header: bool = True) -> ReturnsPanel:
         asset_ids = [cells[0].strip() for cells in rows]
         data_cells = [cells[1:] for cells in rows]
     else:
-        asset_ids = [f"A{i + 1:04d}" for i in range(len(rows))]
+        asset_ids = synthetic_ids(len(rows))
         data_cells = rows
 
     if not data_cells[0]:

@@ -148,7 +148,7 @@ def test_criterion_6_regularization_benefit():
     wins = 0
     for seed in range(20):
         spec = cr.SyntheticSpec(
-            n_assets=30, n_obs=120, generator="one_factor", seed=seed,
+            n_assets=30, n_obs=120, seed=seed, beta=np.ones(30),
             factor_variance=0.25,
         )
         panel = cr.generate_panel(spec)

@@ -225,11 +225,26 @@ def assert_one_line_error(code, err):
     "shrink,target=constant_correlation,rho=abc",
     "shrink,target=bogus",
     "bogus,q=0.5",
+    "shrink,q=0.5,q=0.7",
 ])
 def test_malformed_method_spec_exits_2(panel_path, capsys, method):
     code, out, err = run(capsys, "eval", "-i", panel_path, "--method", method)
     assert out == ""
     assert_one_line_error(code, err)
+
+
+def test_repeated_method_key_named(panel_path, capsys):
+    code, _, err = run(capsys, "eval", "-i", panel_path, "--method",
+                       "shrink,target=diagonal,q=0.5,target=diagonal")
+    assert_one_line_error(code, err)
+    assert "key 'target' given twice" in err
+
+
+def test_negative_baiyin_seed_exits_2(capsys):
+    code, out, err = run(capsys, "baiyin", "--n", "8", "--m", "32", "--seed", "-1")
+    assert out == ""
+    assert_one_line_error(code, err)
+    assert "seed" in err
 
 
 def test_malformed_rho_exits_2(panel_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 import covreg as cr
 from covreg import factors, harness, regularizers
-from covreg.covariance import spectral_decompose
+from covreg.covariance import _quasi_null_threshold, spectral_decompose
 from covreg.errors import DimensionMismatch, InvalidSpec, SplitTooSmall, ValidationError
 from covreg.factors import dense
 from covreg.harness import MethodConfig
@@ -30,6 +30,39 @@ GRID_PANELS = {
 }
 
 
+def two_generator_returns(n, t, seed, one_factor=False, beta=None, factor_variance=1.0,
+                          specific_variances=None):
+    """The draw of the recipe's predecessor: an "iid_unit" or a "one_factor" generator."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if not one_factor:
+        return rng.standard_normal((n, t))
+    beta = np.ones(n) if beta is None else beta
+    sv = np.ones(n) if specific_variances is None else specific_variances
+    f = np.sqrt(factor_variance) * rng.standard_normal(t)
+    eps = rng.standard_normal((n, t)) * np.sqrt(sv)[:, None]
+    return beta[:, None] * f[None, :] + eps
+
+
+def two_generator_truth(n, one_factor=False, beta=None, factor_variance=1.0,
+                        specific_variances=None):
+    """The predecessor's true covariance: I, or fv beta beta^T + diag(sv)."""
+    if not one_factor:
+        return np.eye(n)
+    beta = np.ones(n) if beta is None else beta
+    sv = np.ones(n) if specific_variances is None else specific_variances
+    return factor_variance * np.outer(beta, beta) + np.diag(sv)
+
+
+BETA_30 = np.random.default_rng(17).standard_normal(30)
+SV_30 = np.random.default_rng(18).uniform(0.1, 3.0, 30)
+ONE_FACTOR_KWARGS = {
+    "unit": {},
+    "beta": {"beta": BETA_30},
+    "sv": {"specific_variances": SV_30},
+    "beta+sv": {"beta": BETA_30, "specific_variances": SV_30},
+}
+
+
 class TestGeneratePanel:
     def test_deterministic(self):
         spec = cr.SyntheticSpec(n_assets=5, n_obs=10, seed=42)
@@ -40,6 +73,7 @@ class TestGeneratePanel:
     def test_shape_contract(self):
         panel = cr.generate_panel(cr.SyntheticSpec(n_assets=2, n_obs=3, seed=1))
         assert panel.returns.shape == (2, 3)
+        assert panel.asset_ids == ("A0001", "A0002")
 
     def test_seed_changes_output(self):
         a = cr.generate_panel(cr.SyntheticSpec(n_assets=4, n_obs=8, seed=1))
@@ -47,10 +81,7 @@ class TestGeneratePanel:
         assert not np.array_equal(a.returns, b.returns)
 
     def test_one_factor_beta_zero_uncorrelated(self):
-        spec = cr.SyntheticSpec(
-            n_assets=6, n_obs=10_000, generator="one_factor", seed=3,
-            beta=np.zeros(6),
-        )
+        spec = cr.SyntheticSpec(n_assets=6, n_obs=10_000, seed=3, beta=np.zeros(6))
         scm = cr.sample_covariance(cr.demean(cr.generate_panel(spec)))
         sigma = np.sqrt(scm.variances)
         corr = scm.c / np.outer(sigma, sigma)
@@ -60,16 +91,101 @@ class TestGeneratePanel:
     def test_one_factor_true_covariance(self):
         beta = np.array([1.0, 2.0])
         spec = cr.SyntheticSpec(
-            n_assets=2, n_obs=5, generator="one_factor", seed=0,
+            n_assets=2, n_obs=5, seed=0,
             beta=beta, factor_variance=0.5,
             specific_variances=np.array([1.0, 2.0]),
         )
         expected = 0.5 * np.outer(beta, beta) + np.diag([1.0, 2.0])
         np.testing.assert_array_equal(spec.true_covariance(), expected)
 
-    def test_bad_generator_rejected(self):
+    @pytest.mark.parametrize("n, t", [(5, 10), (200, 801), (30, 120), (1000, 501)])
+    @pytest.mark.parametrize("seed", [0, 42, 2**63 + 5])
+    def test_iid_matches_two_generator_draw(self, n, t, seed):
+        spec = cr.SyntheticSpec(n_assets=n, n_obs=t, seed=seed)
+        assert spec.beta.shape == (n, 0)
+        panel = cr.generate_panel(spec)
+        assert panel.returns.tobytes() == two_generator_returns(n, t, seed).tobytes()
+        assert spec.true_covariance().tobytes() == two_generator_truth(n).tobytes()
+        assert panel.asset_ids == tuple(f"A{i + 1:04d}" for i in range(n))
+
+    @pytest.mark.parametrize("fv", [0.25, 0.3, 1.7])
+    @pytest.mark.parametrize("kwargs", ONE_FACTOR_KWARGS.values(), ids=ONE_FACTOR_KWARGS.keys())
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_one_factor_matches_two_generator_draw(self, fv, kwargs, seed):
+        spec = cr.SyntheticSpec(n_assets=30, n_obs=120, seed=seed, factor_variance=fv,
+                                **{"beta": np.ones(30), **kwargs})
+        expected = two_generator_returns(30, 120, seed, one_factor=True, factor_variance=fv,
+                                         **kwargs)
+        assert cr.generate_panel(spec).returns.tobytes() == expected.tobytes()
+        truth = two_generator_truth(30, one_factor=True, factor_variance=fv, **kwargs)
+        assert spec.true_covariance().tobytes() == truth.tobytes()
+
+    def test_three_factors_draw_factors_first(self):
+        rng = np.random.default_rng(4)
+        beta, sv = rng.standard_normal((8, 3)), rng.uniform(0.5, 2.0, 8)
+        spec = cr.SyntheticSpec(n_assets=8, n_obs=50, seed=9, beta=beta, factor_variance=0.3,
+                                specific_variances=sv)
+        draws = np.random.default_rng(9)
+        f = np.sqrt(0.3) * draws.standard_normal((3, 50))
+        expected = beta @ f + draws.standard_normal((8, 50)) * np.sqrt(sv)[:, None]
+        assert cr.generate_panel(spec).returns.tobytes() == expected.tobytes()
+
+    def test_three_factor_truth_exact_and_scm_near_it(self):
+        rng = np.random.default_rng(6)
+        beta, sv = rng.standard_normal((6, 3)), rng.uniform(0.5, 2.0, 6)
+        spec = cr.SyntheticSpec(n_assets=6, n_obs=40_000, seed=2, beta=beta,
+                                factor_variance=0.3, specific_variances=sv)
+        truth = spec.true_covariance()
+        assert truth.tobytes() == (0.3 * (beta @ beta.T) + np.diag(sv)).tobytes()
+        scm = cr.sample_covariance(cr.demean(cr.generate_panel(spec)))
+        # each entry's standard error is at most about sqrt(2 / T) max(truth)
+        np.testing.assert_allclose(scm.c, truth, rtol=0, atol=0.05 * np.abs(truth).max())
+        assert np.linalg.matrix_rank(truth - np.diag(sv)) == 3
+
+    def test_seed_sequence_seeds_like_its_int(self):
+        a = cr.generate_panel(cr.SyntheticSpec(n_assets=4, n_obs=8, seed=11))
+        b = cr.generate_panel(cr.SyntheticSpec(n_assets=4, n_obs=8,
+                                               seed=np.random.SeedSequence(11)))
+        assert a.returns.tobytes() == b.returns.tobytes()
+
+    def test_spec_keeps_no_reference_to_caller_arrays(self):
+        beta, sv = np.ones((4, 2)), np.ones(4)
+        spec = cr.SyntheticSpec(n_assets=4, n_obs=8, beta=beta, specific_variances=sv)
+        assert beta.flags.writeable and sv.flags.writeable
+        assert not spec.beta.flags.writeable and not spec.specific_variances.flags.writeable
+
+    @pytest.mark.parametrize("kwargs", [
+        {"beta": np.ones(5)},
+        {"beta": np.ones((5, 2))},
+        {"beta": np.ones((4, 2, 1))},
+        {"beta": np.float64(1.0)},
+        {"specific_variances": np.ones(3)},
+        {"specific_variances": np.array([1.0, -0.5, 1.0, 1.0])},
+        {"factor_variance": -1.0},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": "7"},
+        {"n_assets": 1},
+        {"n_obs": 1},
+    ], ids=["beta-length", "beta-rows", "beta-3d", "beta-scalar", "sv-length", "sv-negative",
+            "fv-negative", "seed-negative", "seed-float", "seed-str", "one-asset", "one-obs"])
+    def test_bad_spec_rejected(self, kwargs):
         with pytest.raises(InvalidSpec):
-            cr.SyntheticSpec(n_assets=4, n_obs=8, generator="bogus")
+            cr.SyntheticSpec(**{"n_assets": 4, "n_obs": 8, **kwargs})
+
+
+def two_generator_bai_yin(n, m, trials, seed):
+    """The predecessor's own Bai-Yin trial loop: (observed_min, observed_max)."""
+    mins, maxs = [], []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        data = np.random.default_rng(child).standard_normal((n, m + 1))
+        panel = cr.ReturnsPanel(data, tuple(f"A{i + 1:04d}" for i in range(n)))
+        scm = cr.sample_covariance(cr.demean(panel))
+        evals = np.linalg.eigvalsh(scm.c if n <= m + 1 else scm.x.T @ scm.x / m)
+        evals = evals[evals > _quasi_null_threshold(evals)]
+        mins.append(evals[0])
+        maxs.append(evals[-1])
+    return float(np.mean(mins)), float(np.mean(maxs))
 
 
 class TestBaiYin:
@@ -106,6 +222,17 @@ class TestBaiYin:
         rep = cr.bai_yin_check(n=100, m=400, trials=3, seed=11)
         assert rep.observed_max == pytest.approx(rep.lambda_max_limit, rel=0.10)
         assert rep.observed_min == pytest.approx(rep.lambda_min_limit, rel=0.10)
+
+    @pytest.mark.parametrize("args", [(200, 800, 5, 3), (50, 20, 5, 1), (8, 32, 1, 0)])
+    def test_matches_two_generator_trials(self, args):
+        rep = cr.bai_yin_check(*args)
+        assert (rep.observed_min, rep.observed_max) == two_generator_bai_yin(*args)
+
+    @pytest.mark.parametrize("args", [(8, 32, 1, -1), (1, 32, 1, 0), (8, 1, 1, 0),
+                                      (8, 32, 0, 0)])
+    def test_bad_arguments_rejected(self, args):
+        with pytest.raises(InvalidSpec):
+            cr.bai_yin_check(*args)
 
     @pytest.mark.parametrize("n, m", [(60, 20), (12, 30)], ids=["wide", "tall"])
     def test_extremes_match_full_spectrum(self, monkeypatch, n, m):
@@ -179,7 +306,7 @@ class TestStability:
 
     def test_pc_overlap_reported(self):
         panel = cr.generate_panel(
-            cr.SyntheticSpec(n_assets=8, n_obs=60, generator="one_factor", seed=2)
+            cr.SyntheticSpec(n_assets=8, n_obs=60, seed=2, beta=np.ones(8))
         )
         report = cr.stability_experiment(
             panel, 0.5, [MethodConfig(kind="shrink", q=0.5)]
@@ -360,8 +487,8 @@ class TestGridSearch:
             cr.grid_search_q(
                 cr.generate_panel(
                     cr.SyntheticSpec(
-                        n_assets=10, n_obs=80, generator="one_factor",
-                        seed=seed, factor_variance=1.0,
+                        n_assets=10, n_obs=80, seed=seed, beta=np.ones(10),
+                        factor_variance=1.0,
                     )
                 ),
                 "diagonal", grid, 0.5,
@@ -382,7 +509,7 @@ class TestGridSearch:
         # the full models: both must rank q the same, ties to the larger q
         grid = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
         panel = cr.generate_panel(cr.SyntheticSpec(
-            n_assets=12, n_obs=4 + 9 * seed, generator="one_factor", seed=seed))
+            n_assets=12, n_obs=4 + 9 * seed, seed=seed, beta=np.ones(12)))
         methods = [MethodConfig(kind="shrink", q=q, target_kind=target_kind) for q in grid]
         errors = [r.out_of_sample_error
                   for r in cr.stability_experiment(panel, 0.5, methods).records]
