@@ -25,8 +25,6 @@ from .harness import (
 )
 from .panels import DemeanedPanel, ReturnsPanel, demean, load_panel, loads_panel
 from .regularizers import (
-    ShrinkageSpec,
-    ShrunkFactorModel,
     TruncatedPCModel,
     build_target,
     constant_correlation_target,
@@ -44,8 +42,6 @@ __all__ = [
     "MethodConfig",
     "ReturnsPanel",
     "SampleCovariance",
-    "ShrinkageSpec",
-    "ShrunkFactorModel",
     "SpectralDecomposition",
     "StabilityReport",
     "SyntheticSpec",

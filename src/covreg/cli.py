@@ -77,10 +77,9 @@ def _cmd_shrink(args) -> None:
     scm = _load_scm(args)
     spectral = spectral_decompose(scm)
     target = regularizers.build_target(scm, args.target, _rho(args.rho))
-    spec = regularizers.ShrinkageSpec(q=args.q, target=target)
-    dense_out = regularizers.shrink_dense(scm, spec)
-    model = regularizers.shrink_as_factor_model(spectral, spec)
-    _emit(dense_out, serialize.shrunk_to_json_dict(model), args)
+    dense_out = regularizers.shrink_dense(scm, target, args.q)
+    model = regularizers.shrink_as_factor_model(spectral, target, args.q)
+    _emit(dense_out, serialize.shrunk_to_json_dict(model, args.q), args)
 
 
 def _cmd_truncate(args) -> None:

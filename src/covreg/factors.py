@@ -33,10 +33,8 @@ class FactorModel:
         xi = np.atleast_1d(np.asarray(self.specific_risk, dtype=float))
         omega = np.asarray(self.loadings, dtype=float)
         phi = np.asarray(self.fcm, dtype=float)
-        if omega.ndim != 2:
-            omega = omega.reshape(xi.shape[0], -1)
-        if phi.ndim != 2:
-            phi = phi.reshape(omega.shape[1], omega.shape[1])
+        if omega.ndim != 2 or phi.ndim != 2:
+            raise ValidationError("loadings and fcm must be 2-D")
         for a in (xi, omega, phi):
             a.setflags(write=False)
         object.__setattr__(self, "specific_risk", xi)

@@ -16,13 +16,24 @@ from .errors import (DimensionMismatch, IllConditioned, InvalidSpec, NumericalEr
                      SingularSpecificRisk, SplitTooSmall, ValidationError)
 from .factors import FactorModel, min_variance_weights
 from .panels import ReturnsPanel, demean, synthetic_ids
-from .regularizers import (
-    TARGET_KINDS,
-    ShrinkageSpec,
-    build_target,
-    shrink_as_factor_model,
-    truncated_pc_model,
-)
+from .regularizers import (TARGET_KINDS, _require_matched_target, build_target,
+                           shrink_as_factor_model, truncated_pc_model)
+
+
+def _is_int_at_least(x, low: int) -> bool:
+    """x is a Python or numpy int no smaller than low: the rule for sizes and seeds."""
+    return isinstance(x, (int, np.integer)) and x >= low
+
+
+def _finite_floats(value, name: str) -> np.ndarray:
+    """A new float array of value; InvalidSpec unless it is numeric and finite."""
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidSpec(f"{name} must be numeric") from None
+    if not np.all(np.isfinite(a)):
+        raise InvalidSpec(f"{name} must be finite")
+    return a
 
 
 @dataclass(frozen=True)
@@ -31,8 +42,9 @@ class SyntheticSpec:
 
     beta is N x K, (N,) for K = 1, or None for K = 0 (the iid panel). The
     K factors are iid N(0, factor_variance) and eps_i is N(0,
-    specific_variances[i]), unit by default. seed is a non-negative int
-    or a SeedSequence.
+    specific_variances[i]), unit by default. InvalidSpec unless n_assets,
+    n_obs are ints >= 2, seed a non-negative int or a SeedSequence, and
+    the rest finite numbers.
     """
 
     n_assets: int
@@ -44,24 +56,27 @@ class SyntheticSpec:
 
     def __post_init__(self):
         n = self.n_assets
-        if n < 2 or self.n_obs < 2:
-            raise InvalidSpec("need n_assets >= 2 and n_obs >= 2")
+        if not (_is_int_at_least(n, 2) and _is_int_at_least(self.n_obs, 2)):
+            raise InvalidSpec("need int n_assets >= 2 and n_obs >= 2")
         if not (isinstance(self.seed, np.random.SeedSequence)
-                or (isinstance(self.seed, (int, np.integer)) and self.seed >= 0)):
+                or _is_int_at_least(self.seed, 0)):
             raise InvalidSpec(f"seed must be a non-negative int or a SeedSequence, "
                               f"got {self.seed!r}")
-        beta = np.zeros((n, 0)) if self.beta is None else np.array(self.beta, dtype=float)
+        beta = np.zeros((n, 0)) if self.beta is None else _finite_floats(self.beta, "beta")
         if beta.ndim == 1:
             beta = beta[:, None]
-        sv = np.ones(n) if self.specific_variances is None else np.array(
-            self.specific_variances, dtype=float)
-        if beta.ndim != 2 or beta.shape[0] != n or sv.shape != (n,):
-            raise InvalidSpec("beta must be N x K or (N,), specific_variances (N,)")
-        if self.factor_variance < 0 or np.any(sv < 0):
+        sv = np.ones(n) if self.specific_variances is None else _finite_floats(
+            self.specific_variances, "specific_variances")
+        fv = _finite_floats(self.factor_variance, "factor_variance")
+        if beta.ndim != 2 or beta.shape[0] != n or sv.shape != (n,) or fv.shape:
+            raise InvalidSpec("beta must be N x K or (N,), specific_variances (N,), "
+                              "factor_variance a scalar")
+        if fv < 0 or np.any(sv < 0):
             raise InvalidSpec("variances must be non-negative")
         beta.setflags(write=False)
         sv.setflags(write=False)
         object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "factor_variance", float(fv))
         object.__setattr__(self, "specific_variances", sv)
 
     def true_covariance(self) -> np.ndarray:
@@ -99,9 +114,10 @@ def bai_yin_check(n: int, m: int, trials: int, seed: int) -> BaiYinReport:
     Averages the extreme positive eigenvalues of the demeaned SCMs of iid
     unit-variance panels, one generate_panel draw per spawned seed, read
     off eigvalsh with no eigenvectors. When m < n the smallest *positive*
-    eigenvalue stands in for the minimum.
+    eigenvalue stands in for the minimum. n, m, trials and seed are ints
+    under SyntheticSpec's rule, else InvalidSpec.
     """
-    if n < 2 or m < 2 or trials < 1 or seed < 0:
+    if not all(map(_is_int_at_least, (n, m, trials, seed), (2, 2, 1, 0))):
         raise InvalidSpec("need n, m >= 2, trials >= 1 and seed >= 0")
     y = n / m
     seeds = np.random.SeedSequence(seed).spawn(trials)
@@ -165,7 +181,8 @@ def estimate_method(scm: SampleCovariance, spectral: SpectralDecomposition,
     terms for _OffdiagGram whose sums have the off-diagonal of the fitted
     matrix and of its difference from C. The difference keeps only the
     terms that do not cancel: q (T - C) for shrink, the nu-rescaled
-    target minus the dropped-PC part for truncated-PC.
+    target minus the dropped-PC part for truncated-PC. The target is
+    checked against scm as in regularizers; q must be in [0, 1].
     """
     target = build_target(scm, cfg.target_kind, cfg.rho)
     w, theta = target._factor
@@ -176,10 +193,9 @@ def estimate_method(scm: SampleCovariance, spectral: SpectralDecomposition,
         kept = _LowRank(spectral.components[:f].T, spectral.eigenvalues[:f])
         dropped = _LowRank(spectral.components[f:].T, spectral.eigenvalues[f:])
         return model.base, [(1.0, rescaled), (1.0, kept)], [(1.0, rescaled), (-1.0, dropped)]
-    spec = ShrinkageSpec(q=cfg.q, target=target)
-    spec.validate_against(scm)
+    _require_matched_target(scm, target)
     loading, q = _LowRank(w, theta), cfg.q
-    return (shrink_as_factor_model(spectral, spec).base,
+    return (shrink_as_factor_model(spectral, target, q),
             [(q, loading), (1.0 - q, scm)], [(q, loading), (-q, scm)])
 
 
@@ -379,7 +395,7 @@ def stability_experiment(
 def _grid_errors(scm_train: SampleCovariance, scm_test: SampleCovariance,
                  target: FactorModel, grid: list[float]) -> np.ndarray:
     """grid_search_q's closed-form error of shrink(q, target), one per grid q."""
-    ShrinkageSpec(q=0.0, target=target).validate_against(scm_train)
+    _require_matched_target(scm_train, target)
     q = np.asarray(grid, dtype=float)
     return _OffdiagGram().norms([_LowRank(*target._factor), scm_train, scm_test],
                                 np.stack([q, 1.0 - q, -np.ones_like(q)]))

@@ -4,10 +4,12 @@ Two facts drive this module. First, shrinking an SCM toward a K-factor
 target with constant q yields exactly a (K+F)-factor model whose factor
 covariance is block-diagonal: q Phi on the target block and (1-q)
 diag(lambda) on the principal-component block. shrink_as_factor_model
-builds that model; tests verify its dense form against shrink_dense.
-Second, keeping only the top F_hat principal components and rescaling
-the target by per-asset coefficients nu_i restores the diagonal without
-any shrinkage constant; truncated_pc_model builds that one.
+returns that FactorModel; tests verify its dense form against
+shrink_dense. Second, keeping only the top F_hat principal components
+and rescaling the target by per-asset coefficients nu_i restores the
+diagonal without any shrinkage constant; truncated_pc_model builds that
+one. A target must match its SCM: the same N, and a diagonal within
+DIAG_MATCH_REL (1e-10) relative of C_ii, else DiagonalMismatch.
 """
 
 from __future__ import annotations
@@ -39,33 +41,20 @@ def _require_positive_variances(scm: SampleCovariance) -> np.ndarray:
     return var
 
 
-@dataclass(frozen=True)
-class ShrinkageSpec:
-    """Shrinkage constant q in [0, 1] plus a diagonal-matched target."""
-
-    q: float
-    target: FactorModel
-
-    def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
-            raise ValidationError(f"q must be in [0, 1], got {self.q}")
-
-    def validate_against(self, scm: SampleCovariance) -> None:
-        t = self.target
-        if t.n_assets != scm.n_assets:
-            raise DimensionMismatch("target size differs from SCM")
-        target_diag = t.specific_risk ** 2 + ((t.loadings @ t.fcm) * t.loadings).sum(axis=1)
-        mismatch = np.abs(target_diag - scm.variances)
-        if np.any(mismatch > DIAG_MATCH_REL * scm.variances):
-            raise DiagonalMismatch("target diagonal must equal SCM diagonal")
+def _require_matched_target(scm: SampleCovariance, target: FactorModel) -> None:
+    """The one target check: same N as scm, diagonal within DIAG_MATCH_REL of C_ii."""
+    if target.n_assets != scm.n_assets:
+        raise DimensionMismatch("target size differs from SCM")
+    omega = target.loadings
+    target_diag = target.specific_risk ** 2 + ((omega @ target.fcm) * omega).sum(axis=1)
+    mismatch = np.abs(target_diag - scm.variances)
+    if np.any(mismatch > DIAG_MATCH_REL * scm.variances):
+        raise DiagonalMismatch("target diagonal must equal SCM diagonal")
 
 
-@dataclass(frozen=True)
-class ShrunkFactorModel:
-    """The shrunk SCM written as a (K+F)-factor model."""
-
-    base: FactorModel
-    q: float
+def _require_q(q: float) -> None:
+    if not 0.0 <= q <= 1.0:
+        raise ValidationError(f"q must be in [0, 1], got {q}")
 
 
 @dataclass(frozen=True)
@@ -139,31 +128,30 @@ def _block_fcm(target_fcm: np.ndarray, pc_variances: np.ndarray) -> np.ndarray:
     return phi
 
 
-def shrink_dense(scm: SampleCovariance, spec: ShrinkageSpec) -> np.ndarray:
+def shrink_dense(scm: SampleCovariance, target: FactorModel, q: float) -> np.ndarray:
     """q * dense(target) + (1 - q) * C."""
-    spec.validate_against(scm)
-    return spec.q * dense(spec.target) + (1.0 - spec.q) * scm.c
+    _require_q(q)
+    _require_matched_target(scm, target)
+    return q * dense(target) + (1.0 - q) * scm.c
 
 
 def shrink_as_factor_model(
-    spectral: SpectralDecomposition, spec: ShrinkageSpec
-) -> ShrunkFactorModel:
+    spectral: SpectralDecomposition, target: FactorModel, q: float
+) -> FactorModel:
     """Rewrite the shrunk SCM as a factor model with block-diagonal FCM.
 
     Loadings are the target's K columns followed by the F principal
     components; the FCM is blockdiag(q * Phi, (1 - q) * diag(lambda));
     specific variance is q * xi^2.
     """
-    target = spec.target
+    _require_q(q)
     if target.n_assets != spectral.n_assets:
         raise DimensionMismatch("target size differs from spectral decomposition")
-    q = spec.q
-    base = FactorModel(
+    return FactorModel(
         specific_risk=np.sqrt(q) * target.specific_risk,
         loadings=np.hstack([target.loadings, spectral.components.T]),
         fcm=_block_fcm(q * target.fcm, (1.0 - q) * spectral.eigenvalues),
     )
-    return ShrunkFactorModel(base=base, q=q)
 
 
 def truncated_pc_model(
@@ -182,10 +170,10 @@ def truncated_pc_model(
     f = spectral.n_positive
     if not 0 <= f_hat <= f:
         raise FhatOutOfRange(f"f_hat must be in [0, {f}], got {f_hat}")
-    if target.n_assets != scm.n_assets or spectral.n_assets != scm.n_assets:
-        raise DimensionMismatch("target/spectral size differs from SCM")
+    if spectral.n_assets != scm.n_assets:
+        raise DimensionMismatch("spectral size differs from SCM")
+    _require_matched_target(scm, target)
     var = _require_positive_variances(scm)
-    ShrinkageSpec(q=0.0, target=target).validate_against(scm)
 
     kept_ev = spectral.eigenvalues[:f_hat]
     kept_pc = spectral.components[:f_hat]

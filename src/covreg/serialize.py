@@ -23,7 +23,7 @@ from .covariance import SpectralDecomposition
 from .errors import NumericalError, ParseError
 from .factors import FactorModel
 from .panels import csv_rows, parse_cells
-from .regularizers import ShrunkFactorModel, TruncatedPCModel
+from .regularizers import TruncatedPCModel
 
 CSV_FORMAT = "%.12g"
 
@@ -100,9 +100,9 @@ def factor_model_from_json_dict(d: dict) -> FactorModel:
     )
 
 
-def shrunk_to_json_dict(model: ShrunkFactorModel) -> dict:
-    out = factor_model_to_json_dict(model.base)
-    out["q"] = model.q
+def shrunk_to_json_dict(model: FactorModel, q: float) -> dict:
+    out = factor_model_to_json_dict(model)
+    out["q"] = q
     return out
 
 

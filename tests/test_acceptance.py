@@ -49,9 +49,8 @@ def test_criterion_1_central_identity():
         ]
         target = targets[checked % 3]
         for q in (0.0, 0.25, 0.5, 0.75, 1.0):
-            spec = cr.ShrinkageSpec(q=q, target=target)
-            direct = cr.shrink_dense(scm, spec)
-            rewritten = cr.dense(cr.shrink_as_factor_model(spectral, spec).base)
+            direct = cr.shrink_dense(scm, target, q)
+            rewritten = cr.dense(cr.shrink_as_factor_model(spectral, target, q))
             err = np.linalg.norm(rewritten - direct)
             assert err <= 1e-8 * np.linalg.norm(scm.c), (n, t, q, err)
         checked += 1
@@ -118,11 +117,10 @@ def test_criterion_4_invertibility():
         target_min_ev = np.linalg.eigvalsh(cr.dense(target)).min()
         assert target_min_ev > 0  # PD target as required
         for q in (0.1, 0.5, 1.0):
-            spec = cr.ShrinkageSpec(q=q, target=target)
-            shrunk = cr.shrink_dense(scm, spec)
+            shrunk = cr.shrink_dense(scm, target, q)
             min_ev = np.linalg.eigvalsh(shrunk).min()
             assert min_ev >= 0.5 * q * target_min_ev, (n, t, q)
-            model = cr.shrink_as_factor_model(spectral, spec).base
+            model = cr.shrink_as_factor_model(spectral, target, q)
             prod = cr.dense(model) @ cr.invert(model)
             assert np.abs(prod - np.eye(n)).max() <= 1e-8, (n, t, q)
     _report("criterion 4: shrunk-matrix invertibility for q > 0, "

@@ -196,9 +196,9 @@ def test_block_diagonal_models_decompose_nothing(rng, monkeypatch, target_kind):
 
     for name in ("svd", "cond", "eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    shrunk = cr.shrink_as_factor_model(spectral, cr.ShrinkageSpec(q=0.5, target=target))
+    shrunk = cr.shrink_as_factor_model(spectral, target, 0.5)
     truncated = cr.truncated_pc_model(scm, spectral, target, 2)
-    for model in (shrunk.base, truncated.base):
+    for model in (shrunk, truncated.base):
         assert np.isfinite(cr.min_variance_weights(model)).all()
 
 
@@ -259,6 +259,11 @@ class TestValidation:
                 loadings=[[1.0], [1.0]],
                 fcm=[[1.0]],
             )
+        # a flat array is not reshaped: loadings and fcm must be 2-D
+        with pytest.raises(ValidationError, match="2-D"):
+            FactorModel(specific_risk=[1.0, 1.0], loadings=[1.0, 2.0, 3.0, 4.0], fcm=np.eye(2))
+        with pytest.raises(ValidationError, match="2-D"):
+            FactorModel(specific_risk=[1.0, 1.0, 1.0], loadings=np.eye(3), fcm=np.ones(9))
 
     @pytest.mark.parametrize("k", [-80, 0, 80])
     def test_symmetry_check_is_scale_free(self, k):

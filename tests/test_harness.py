@@ -11,8 +11,7 @@ from covreg.covariance import _quasi_null_threshold, spectral_decompose
 from covreg.errors import DimensionMismatch, InvalidSpec, SplitTooSmall, ValidationError
 from covreg.factors import dense
 from covreg.harness import MethodConfig
-from covreg.regularizers import (TARGET_KINDS, ShrinkageSpec, build_target, shrink_dense,
-                                 truncated_pc_model)
+from covreg.regularizers import TARGET_KINDS, build_target, shrink_dense, truncated_pc_model
 
 from conftest import counting_linalg, near_duplicate_rows, one_factor_rows, spread_variance_rows
 
@@ -167,8 +166,19 @@ class TestGeneratePanel:
         {"seed": "7"},
         {"n_assets": 1},
         {"n_obs": 1},
+        {"n_assets": 4.5},
+        {"n_obs": 8.0},
+        {"beta": "x"},
+        {"specific_variances": ["1", "a", "1", "1"]},
+        {"factor_variance": "a"},
+        {"beta": [1.0, np.inf, 1.0, 1.0]},
+        {"specific_variances": [1.0, 1.0, np.nan, 1.0]},
+        {"factor_variance": np.nan},
+        {"factor_variance": np.inf},
     ], ids=["beta-length", "beta-rows", "beta-3d", "beta-scalar", "sv-length", "sv-negative",
-            "fv-negative", "seed-negative", "seed-float", "seed-str", "one-asset", "one-obs"])
+            "fv-negative", "seed-negative", "seed-float", "seed-str", "one-asset", "one-obs",
+            "n-assets-float", "n-obs-float", "beta-str", "sv-str", "fv-str", "beta-inf",
+            "sv-nan", "fv-nan", "fv-inf"])
     def test_bad_spec_rejected(self, kwargs):
         with pytest.raises(InvalidSpec):
             cr.SyntheticSpec(**{"n_assets": 4, "n_obs": 8, **kwargs})
@@ -229,7 +239,8 @@ class TestBaiYin:
         assert (rep.observed_min, rep.observed_max) == two_generator_bai_yin(*args)
 
     @pytest.mark.parametrize("args", [(8, 32, 1, -1), (1, 32, 1, 0), (8, 1, 1, 0),
-                                      (8, 32, 0, 0)])
+                                      (8, 32, 0, 0), (8, 32, 1, 1.5), (8.5, 32, 1, 0),
+                                      (8, 32.0, 1, 0), (8, 32, 1.0, 0)])
     def test_bad_arguments_rejected(self, args):
         with pytest.raises(InvalidSpec):
             cr.bai_yin_check(*args)
@@ -390,7 +401,7 @@ class TestGramRecords:
         for cfg, rec in zip(methods, report.records):
             target = targets[cfg.target_kind]
             if cfg.kind == "shrink":
-                est = shrink_dense(scm_train, ShrinkageSpec(q=cfg.q, target=target))
+                est = shrink_dense(scm_train, target, cfg.q)
                 in_err = np.ldexp(cfg.q * gaps[cfg.target_kind], 2 * e)
                 assert rec.in_sample_error == pytest.approx(in_err, rel=IN_SAMPLE_REL, abs=0)
             else:
@@ -559,7 +570,7 @@ class TestGridSearch:
         grid = [i / 10 for i in range(11)]
         direct = []
         for q in grid:
-            diff = shrink_dense(scm_train, ShrinkageSpec(q=q, target=target)) - scm_test.c
+            diff = shrink_dense(scm_train, target, q) - scm_test.c
             np.fill_diagonal(diff, 0.0)
             direct.append(np.linalg.norm(diff))
         closed = harness._grid_errors(scm_train, scm_test, target, grid)

@@ -32,8 +32,8 @@ def fit(panel, target_kind):
     spectral = cr.spectral_decompose(scm)
     target = cr.build_target(scm, target_kind)
     nu = cr.truncated_pc_model(scm, spectral, cr.diagonal_target(scm), 1).nu
-    model = cr.shrink_as_factor_model(spectral, cr.ShrinkageSpec(q=0.5, target=target))
-    return scm, nu, cr.min_variance_weights(model.base)
+    model = cr.shrink_as_factor_model(spectral, target, 0.5)
+    return scm, nu, cr.min_variance_weights(model)
 
 
 def close(got, want, rel):
@@ -79,9 +79,8 @@ def test_weights_exact_under_power_of_two_scaling(k):
         scm = cr.sample_covariance(cr.demean(p))
         target = cr.build_target(scm, "constant_correlation")
         assert target.loadings.any()
-        spec = cr.ShrinkageSpec(q=0.5, target=target)
         fits.append(cr.min_variance_weights(
-            cr.shrink_as_factor_model(cr.spectral_decompose(scm), spec).base))
+            cr.shrink_as_factor_model(cr.spectral_decompose(scm), target, 0.5)))
     np.testing.assert_array_equal(fits[1], fits[0])
 
 

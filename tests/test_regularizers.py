@@ -107,30 +107,26 @@ class TestEstimateRho:
 class TestShrinkDense:
     def test_q_zero_returns_scm(self, rng):
         scm = random_scm(rng, 5, 30)
-        spec = cr.ShrinkageSpec(q=0.0, target=cr.diagonal_target(scm))
-        np.testing.assert_array_equal(cr.shrink_dense(scm, spec), scm.c)
+        np.testing.assert_array_equal(
+            cr.shrink_dense(scm, cr.diagonal_target(scm), 0.0), scm.c)
 
     def test_q_one_returns_target(self, rng):
         scm = random_scm(rng, 5, 30)
         target = cr.diagonal_target(scm)
-        spec = cr.ShrinkageSpec(q=1.0, target=target)
         np.testing.assert_allclose(
-            cr.shrink_dense(scm, spec), cr.dense(target), atol=1e-15
+            cr.shrink_dense(scm, target, 1.0), cr.dense(target), atol=1e-15
         )
 
     def test_halfway_average(self):
         scm = scm_2x2()
-        spec = cr.ShrinkageSpec(q=0.5, target=cr.diagonal_target(scm))
         np.testing.assert_allclose(
-            cr.shrink_dense(scm, spec), [[1, -0.5], [-0.5, 1]], atol=1e-12
+            cr.shrink_dense(scm, cr.diagonal_target(scm), 0.5), [[1, -0.5], [-0.5, 1]],
+            atol=1e-12
         )
 
     def test_diagonal_preserved(self, rng):
         scm = random_scm(rng, 6, 40)
-        spec = cr.ShrinkageSpec(
-            q=0.37, target=cr.constant_correlation_target(scm, 0.2)
-        )
-        shrunk = cr.shrink_dense(scm, spec)
+        shrunk = cr.shrink_dense(scm, cr.constant_correlation_target(scm, 0.2), 0.37)
         np.testing.assert_allclose(
             np.diag(shrunk), scm.variances, rtol=1e-10
         )
@@ -139,22 +135,27 @@ class TestShrinkDense:
         scm = random_scm(rng, 4, 20)
         bad = FactorModel.diagonal(np.sqrt(scm.variances) * 1.5)
         with pytest.raises(DiagonalMismatch):
-            cr.shrink_dense(scm, cr.ShrinkageSpec(q=0.5, target=bad))
+            cr.shrink_dense(scm, bad, 0.5)
 
     def test_factor_target_diagonal_includes_loadings(self, rng):
         # the check reads the diagonal from the factor form, loadings included
         scm = random_scm(rng, 4, 20)
         good = random_matched_target(rng, scm, 2)
-        cr.ShrinkageSpec(q=0.5, target=good).validate_against(scm)
+        cr.shrink_dense(scm, good, 0.5)
         bad = FactorModel(specific_risk=good.specific_risk,
                           loadings=good.loadings * 1.5, fcm=good.fcm)
         with pytest.raises(DiagonalMismatch):
-            cr.shrink_dense(scm, cr.ShrinkageSpec(q=0.5, target=bad))
+            cr.shrink_dense(scm, bad, 0.5)
 
     def test_q_out_of_range(self, rng):
         scm = random_scm(rng, 4, 20)
-        with pytest.raises(ValidationError):
-            cr.ShrinkageSpec(q=1.5, target=cr.diagonal_target(scm))
+        target = cr.diagonal_target(scm)
+        spectral = cr.spectral_decompose(scm)
+        for q in (1.5, -0.1, np.nan):
+            with pytest.raises(ValidationError, match=r"q must be in \[0, 1\]"):
+                cr.shrink_dense(scm, target, q)
+            with pytest.raises(ValidationError, match=r"q must be in \[0, 1\]"):
+                cr.shrink_as_factor_model(spectral, target, q)
 
 
 class TestShrinkAsFactorModel:
@@ -165,42 +166,40 @@ class TestShrinkAsFactorModel:
     def test_central_identity_diagonal_target(self, rng, q, n, t):
         scm = random_scm(rng, n, t)  # singular SCM, the interesting case
         spectral = cr.spectral_decompose(scm)
-        spec = cr.ShrinkageSpec(q=q, target=cr.diagonal_target(scm))
-        direct = cr.shrink_dense(scm, spec)
-        via_model = cr.dense(cr.shrink_as_factor_model(spectral, spec).base)
+        target = cr.diagonal_target(scm)
+        direct = cr.shrink_dense(scm, target, q)
+        via_model = cr.dense(cr.shrink_as_factor_model(spectral, target, q))
         err = np.linalg.norm(via_model - direct)
         assert err <= 1e-8 * np.linalg.norm(scm.c)
 
     def test_q_one_reduces_to_target(self, rng):
         scm = random_scm(rng, 5, 30)
         target = cr.constant_correlation_target(scm, 0.4)
-        spec = cr.ShrinkageSpec(q=1.0, target=target)
-        model = cr.shrink_as_factor_model(cr.spectral_decompose(scm), spec)
+        model = cr.shrink_as_factor_model(cr.spectral_decompose(scm), target, 1.0)
         np.testing.assert_allclose(
-            cr.dense(model.base), cr.dense(target), atol=1e-10
+            cr.dense(model), cr.dense(target), atol=1e-10
         )
         # PC block of the FCM is identically zero at q = 1
-        pc_block = model.base.fcm[target.n_factors:, target.n_factors:]
+        pc_block = model.fcm[target.n_factors:, target.n_factors:]
         np.testing.assert_array_equal(pc_block, np.zeros_like(pc_block))
 
     def test_q_zero_reduces_to_scm(self, rng):
         scm = random_scm(rng, 5, 30)
-        spec = cr.ShrinkageSpec(q=0.0, target=cr.diagonal_target(scm))
-        model = cr.shrink_as_factor_model(cr.spectral_decompose(scm), spec)
-        assert np.all(model.base.specific_risk == 0)
-        np.testing.assert_allclose(cr.dense(model.base), scm.c, atol=1e-12)
+        model = cr.shrink_as_factor_model(
+            cr.spectral_decompose(scm), cr.diagonal_target(scm), 0.0)
+        assert np.all(model.specific_risk == 0)
+        np.testing.assert_allclose(cr.dense(model), scm.c, atol=1e-12)
 
     def test_2x2_worked_example(self):
         scm = scm_2x2()
         spectral = cr.spectral_decompose(scm)
-        spec = cr.ShrinkageSpec(q=0.5, target=cr.diagonal_target(scm))
-        model = cr.shrink_as_factor_model(spectral, spec)
-        np.testing.assert_allclose(model.base.specific_risk**2, [0.5, 0.5])
+        model = cr.shrink_as_factor_model(spectral, cr.diagonal_target(scm), 0.5)
+        np.testing.assert_allclose(model.specific_risk**2, [0.5, 0.5])
         # lone PC block entry (K = 0, so it is the whole FCM): (1 - q) * lambda = 0.5 * 2
-        assert model.base.fcm.shape == (1, 1)
-        assert model.base.fcm[0, 0] == pytest.approx(1.0)
+        assert model.fcm.shape == (1, 1)
+        assert model.fcm[0, 0] == pytest.approx(1.0)
         np.testing.assert_allclose(
-            cr.dense(model.base), [[1, -0.5], [-0.5, 1]], atol=1e-12
+            cr.dense(model), [[1, -0.5], [-0.5, 1]], atol=1e-12
         )
 
     def test_block_structure_matches_fcm(self, rng):
@@ -209,9 +208,7 @@ class TestShrinkAsFactorModel:
         target = random_matched_target(rng, scm, 2)
         q = 0.3
         spectral = cr.spectral_decompose(scm)
-        fcm = cr.shrink_as_factor_model(
-            spectral, cr.ShrinkageSpec(q=q, target=target)
-        ).base.fcm
+        fcm = cr.shrink_as_factor_model(spectral, target, q).fcm
         k, f = target.n_factors, spectral.n_positive
         assert fcm.shape == (k + f, k + f)
         np.testing.assert_array_equal(fcm[:k, :k], q * target.fcm)
@@ -225,7 +222,7 @@ class TestShrinkAsFactorModel:
         scm = random_scm(rng, 10, 4)
         target = cr.diagonal_target(scm)
         for q in (0.1, 0.5, 1.0):
-            shrunk = cr.shrink_dense(scm, cr.ShrinkageSpec(q=q, target=target))
+            shrunk = cr.shrink_dense(scm, target, q)
             min_ev = np.linalg.eigvalsh(shrunk).min()
             target_min = np.linalg.eigvalsh(cr.dense(target)).min()
             assert min_ev >= q * target_min - 1e-9

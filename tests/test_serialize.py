@@ -15,12 +15,7 @@ from hypothesis import strategies as st
 
 import covreg as cr
 from covreg.errors import NumericalError
-from covreg.regularizers import (
-    ShrinkageSpec,
-    build_target,
-    shrink_dense,
-    truncated_pc_model,
-)
+from covreg.regularizers import build_target, shrink_dense, truncated_pc_model
 from covreg.serialize import (
     dumps,
     factor_model_to_json_dict,
@@ -183,9 +178,9 @@ def cli_dense_outputs(rows: np.ndarray) -> dict:
     spectral = cr.spectral_decompose(scm)
     return {
         "scm": scm.c,
-        "shrink diagonal": shrink_dense(scm, ShrinkageSpec(q=0.5, target=diagonal)),
+        "shrink diagonal": shrink_dense(scm, diagonal, 0.5),
         "shrink constant_correlation": shrink_dense(
-            scm, ShrinkageSpec(q=0.5, target=build_target(scm, "constant_correlation"))),
+            scm, build_target(scm, "constant_correlation"), 0.5),
         "truncate": cr.dense(truncated_pc_model(scm, spectral, diagonal, 1).base),
         "from matrix": cr.SampleCovariance.from_matrix(
             matrix_from_csv(matrix_to_csv(scm.c))).c,
