@@ -23,9 +23,8 @@ from .harness import (
     grid_search_q,
     stability_experiment,
 )
-from .panels import DemeanedPanel, ReturnsPanel, demean, load_panel, loads_panel
+from .panels import ReturnsPanel, demean, load_panel, loads_panel
 from .regularizers import (
-    TruncatedPCModel,
     build_target,
     constant_correlation_target,
     diagonal_target,
@@ -37,7 +36,6 @@ from .regularizers import (
 
 __all__ = [
     "BaiYinReport",
-    "DemeanedPanel",
     "FactorModel",
     "MethodConfig",
     "ReturnsPanel",
@@ -45,7 +43,6 @@ __all__ = [
     "SpectralDecomposition",
     "StabilityReport",
     "SyntheticSpec",
-    "TruncatedPCModel",
     "bai_yin_check",
     "build_target",
     "constant_correlation_target",

@@ -14,7 +14,7 @@ from . import harness, regularizers, serialize
 from .covariance import SampleCovariance, sample_covariance, spectral_decompose
 from .errors import NumericalError, ParseError, ValidationError
 from .factors import dense
-from .panels import demean, load_panel, read_text
+from .panels import load_panel, read_text
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -34,7 +34,7 @@ def _load_scm(args) -> SampleCovariance:
     if getattr(args, "from_matrix", False):
         m = serialize.matrix_from_csv(read_text(args.input))
         return SampleCovariance.from_matrix(m)
-    return sample_covariance(demean(load_panel(args.input, header=not args.no_header)))
+    return sample_covariance(load_panel(args.input, header=not args.no_header))
 
 
 def _number(cast, text: str, name: str):
@@ -86,8 +86,8 @@ def _cmd_truncate(args) -> None:
     scm = _load_scm(args)
     spectral = spectral_decompose(scm)
     target = regularizers.build_target(scm, args.target, _rho(args.rho))
-    model = regularizers.truncated_pc_model(scm, spectral, target, args.f_hat)
-    _emit(dense(model.base), serialize.truncated_to_json_dict(model), args)
+    model, nu = regularizers.truncated_pc_model(scm, spectral, target, args.f_hat)
+    _emit(dense(model), serialize.truncated_to_json_dict(model, args.f_hat, nu), args)
 
 
 METHOD_KEYS = ("q", "f_hat", "target", "rho")

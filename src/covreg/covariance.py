@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeEigenvalueError, ValidationError, ZeroVarianceAsset
-from .panels import DemeanedPanel
+from .panels import ReturnsPanel, demean
 
 QUASI_NULL_REL = 1e-10
 
@@ -26,10 +26,11 @@ class SampleCovariance:
     """Symmetric N x N sample covariance with its denominator.
 
     Built from a panel, it keeps the demeaned N x T panel x, with
-    C = x x^T / n_obs_minus_one, rejects an asset of zero variance, and
-    forms the dense c only on first read: variances and s^T C s come
-    from x in O(N T), summed over rows scaled by powers of 2: an entry
-    overflows only if it is itself too large. Built from a matrix c, it has no x.
+    C = x x^T / n_obs_minus_one, rejects a non-finite x or an asset of
+    zero variance, and forms the dense c only on first read: variances
+    and s^T C s come from x in O(N T), summed over rows scaled by powers
+    of 2: an entry overflows only if it is itself too large. Built from a
+    matrix c, it has no x.
     """
 
     def __init__(self, c: np.ndarray | None, n_obs_minus_one: int,
@@ -37,8 +38,11 @@ class SampleCovariance:
         self.n_obs_minus_one, self.x = n_obs_minus_one, x
         self._c = self._gram_root = None
         if x is not None:
+            peak = np.maximum(x.max(axis=1), -x.min(axis=1))
+            if not np.all(np.isfinite(peak)):
+                raise ValidationError("covariance has non-finite entries")
             # x_i = 2^e_i xs_i with max |xs_i| in [1/2, 1): row products stay in range
-            self._e = e = np.frexp(np.maximum(x.max(axis=1), -x.min(axis=1)))[1]
+            self._e = e = np.frexp(peak)[1]
             xs = np.ldexp(x, -e[:, None])
             v = np.einsum("ij,ij->i", xs, xs) / n_obs_minus_one
             # |C_ij| <= sqrt(C_ii C_jj): finite variances keep all of C finite
@@ -151,12 +155,9 @@ class SpectralDecomposition:
         return (self.components.T * self.eigenvalues) @ self.components
 
 
-def sample_covariance(x: DemeanedPanel) -> SampleCovariance:
-    """C_ij = (1/M) sum_s x_is x_js, kept as x; c is formed on first read."""
-    m = x.n_obs - 1
-    if m < 1:
-        raise ValidationError("need at least 2 observations")
-    return SampleCovariance(c=None, n_obs_minus_one=m, x=x.x)
+def sample_covariance(panel: ReturnsPanel) -> SampleCovariance:
+    """C_ij = (1/M) sum_s x_is x_js, x = demean(panel) kept; c is formed on first read."""
+    return SampleCovariance(c=None, n_obs_minus_one=panel.n_obs - 1, x=demean(panel))
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:

@@ -15,9 +15,9 @@ from .covariance import (SampleCovariance, SpectralDecomposition, _quasi_null_th
 from .errors import (DimensionMismatch, IllConditioned, InvalidSpec, NumericalError,
                      SingularSpecificRisk, SplitTooSmall, ValidationError)
 from .factors import FactorModel, min_variance_weights
-from .panels import ReturnsPanel, demean, synthetic_ids
-from .regularizers import (TARGET_KINDS, _require_matched_target, build_target,
-                           shrink_as_factor_model, truncated_pc_model)
+from .panels import ReturnsPanel, synthetic_ids
+from .regularizers import (TARGET_KINDS, _require_matched_target, _require_q,
+                           build_target, shrink_as_factor_model, truncated_pc_model)
 
 
 def _is_int_at_least(x, low: int) -> bool:
@@ -123,7 +123,7 @@ def bai_yin_check(n: int, m: int, trials: int, seed: int) -> BaiYinReport:
     seeds = np.random.SeedSequence(seed).spawn(trials)
 
     def one_trial(child) -> tuple[float, float]:
-        scm = sample_covariance(demean(generate_panel(SyntheticSpec(n, m + 1, seed=child))))
+        scm = sample_covariance(generate_panel(SyntheticSpec(n, m + 1, seed=child)))
         # C's positive eigenvalues are those of the smaller Gram x^T x / M when T < N
         evals = np.linalg.eigvalsh(scm.c if n <= m + 1 else scm.x.T @ scm.x / m)
         evals = evals[evals > _quasi_null_threshold(evals)]
@@ -147,7 +147,7 @@ class MethodConfig:
     kind: "scm_ridge" (shrink with a small q, 0.01 when q is left at 0:
     the stand-in for raw SCM when inversion is required), "shrink", or
     "truncated_pc". rho applies to the constant-correlation target and
-    may be None for "auto".
+    may be None for "auto". q must be in [0, 1], as for shrinkage.
     """
 
     kind: str
@@ -163,6 +163,7 @@ class MethodConfig:
             raise InvalidSpec(f"unknown target kind {self.target_kind!r}")
         if self.kind == "scm_ridge" and not self.q:
             object.__setattr__(self, "q", 0.01)
+        _require_q(self.q)
 
     @property
     def label(self) -> str:
@@ -187,12 +188,12 @@ def estimate_method(scm: SampleCovariance, spectral: SpectralDecomposition,
     target = build_target(scm, cfg.target_kind, cfg.rho)
     w, theta = target._factor
     if cfg.kind == "truncated_pc":
-        model = truncated_pc_model(scm, spectral, target, cfg.f_hat)
-        rescaled = _LowRank(model.nu[:, None] * w, theta)
+        model, nu = truncated_pc_model(scm, spectral, target, cfg.f_hat)
+        rescaled = _LowRank(nu[:, None] * w, theta)
         f = cfg.f_hat
         kept = _LowRank(spectral.components[:f].T, spectral.eigenvalues[:f])
         dropped = _LowRank(spectral.components[f:].T, spectral.eigenvalues[f:])
-        return model.base, [(1.0, rescaled), (1.0, kept)], [(1.0, rescaled), (-1.0, dropped)]
+        return model, [(1.0, rescaled), (1.0, kept)], [(1.0, rescaled), (-1.0, dropped)]
     _require_matched_target(scm, target)
     loading, q = _LowRank(w, theta), cfg.q
     return (shrink_as_factor_model(spectral, target, q),
@@ -319,7 +320,7 @@ def _split_scms(panel: ReturnsPanel, split: float):
     r = panel.returns
     e = int(np.frexp(max(r.max(), -r.min()))[1])
     r = np.ldexp(r, -e)
-    scms = [sample_covariance(demean(ReturnsPanel(seg, panel.asset_ids)))
+    scms = [sample_covariance(ReturnsPanel(seg, panel.asset_ids))
             for seg in (r[:, :n_train], r[:, n_train:])]
     # |C_ij| <= sqrt(C_ii C_jj): 2^2e C is finite where its variances are
     if any(np.frexp(scm.variances.max())[1] + 2 * e > 1024 for scm in scms):

@@ -66,40 +66,18 @@ class ReturnsPanel:
         return self.returns.shape[1]
 
 
-@dataclass(frozen=True)
-class DemeanedPanel:
-    """Serially demeaned panel; every row sums to zero."""
-
-    x: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        row_sums = np.abs(x.sum(axis=1))
-        # floored so the tolerance does not underflow to 0 on subnormal rows
-        scale = x.shape[1] * max(np.abs(x).max(initial=0.0), 1e-300)
-        if np.any(row_sums > 1e-10 * scale):
-            raise ValidationError("rows are not demeaned")
-
-    @property
-    def n_assets(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def n_obs(self) -> int:
-        return self.x.shape[1]
-
-
-def demean(panel: ReturnsPanel) -> DemeanedPanel:
-    """Subtract each asset's time-series mean from its row.
+def demean(panel: ReturnsPanel) -> np.ndarray:
+    """Read-only N x T panel less each asset's time-series mean.
 
     A second pass removes the rounding residue of the first subtraction
-    so row sums vanish relative to the demeaned values themselves.
+    so row sums vanish relative to the demeaned values themselves. A row
+    whose sum overflows comes out non-finite, with no warning.
     """
-    x = panel.returns - panel.returns.mean(axis=1, keepdims=True)
-    x = x - x.mean(axis=1, keepdims=True)
-    return DemeanedPanel(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = panel.returns - panel.returns.mean(axis=1, keepdims=True)
+        x = x - x.mean(axis=1, keepdims=True)
+    x.setflags(write=False)
+    return x
 
 
 def parse_cells(rows: list[list[str]]) -> np.ndarray:

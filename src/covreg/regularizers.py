@@ -7,14 +7,12 @@ diag(lambda) on the principal-component block. shrink_as_factor_model
 returns that FactorModel; tests verify its dense form against
 shrink_dense. Second, keeping only the top F_hat principal components
 and rescaling the target by per-asset coefficients nu_i restores the
-diagonal without any shrinkage constant; truncated_pc_model builds that
-one. A target must match its SCM: the same N, and a diagonal within
-DIAG_MATCH_REL (1e-10) relative of C_ii, else DiagonalMismatch.
+diagonal without any shrinkage constant; truncated_pc_model returns
+that FactorModel and nu. A target must match its SCM: the same N, and a
+diagonal within DIAG_MATCH_REL (1e-10) relative of C_ii, else DiagonalMismatch.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,22 +53,6 @@ def _require_matched_target(scm: SampleCovariance, target: FactorModel) -> None:
 def _require_q(q: float) -> None:
     if not 0.0 <= q <= 1.0:
         raise ValidationError(f"q must be in [0, 1], got {q}")
-
-
-@dataclass(frozen=True)
-class TruncatedPCModel:
-    """Top-F_hat PC expansion plus nu-rescaled target, diagonal preserved."""
-
-    base: FactorModel
-    nu: np.ndarray
-    f_hat: int
-
-    def __post_init__(self):
-        nu = np.asarray(self.nu, dtype=float)
-        nu.setflags(write=False)
-        object.__setattr__(self, "nu", nu)
-        if np.any(nu < 0):
-            raise ValidationError("nu entries must be non-negative")
 
 
 def diagonal_target(scm: SampleCovariance) -> FactorModel:
@@ -159,33 +141,30 @@ def truncated_pc_model(
     spectral: SpectralDecomposition,
     target: FactorModel,
     f_hat: int,
-) -> TruncatedPCModel:
-    """Keep the top f_hat principal components; rescale the target by nu.
+) -> tuple[FactorModel, np.ndarray]:
+    """(model, read-only nu): the top f_hat principal components and the target rescaled by nu.
 
     nu_i^2 = (1 / C_ii) * sum over dropped components of lambda V_i^2,
     which pins the dense diagonal to C_ii with no shrinkage constant.
     The rescaling multiplies both the specific risk and the target
     loadings (the target block enters as nu_i nu_j Delta_ij).
+    FhatOutOfRange unless f_hat is a Python or numpy int in [0, F].
     """
     f = spectral.n_positive
-    if not 0 <= f_hat <= f:
+    if not (isinstance(f_hat, (int, np.integer)) and 0 <= f_hat <= f):
         raise FhatOutOfRange(f"f_hat must be in [0, {f}], got {f_hat}")
     if spectral.n_assets != scm.n_assets:
         raise DimensionMismatch("spectral size differs from SCM")
     _require_matched_target(scm, target)
     var = _require_positive_variances(scm)
 
-    kept_ev = spectral.eigenvalues[:f_hat]
-    kept_pc = spectral.components[:f_hat]
-    dropped_ev = spectral.eigenvalues[f_hat:]
-    dropped_pc = spectral.components[f_hat:]
-
-    nu_sq = (dropped_pc.T ** 2 @ dropped_ev) / var if f_hat < f else np.zeros_like(var)
-    nu = np.sqrt(np.maximum(nu_sq, 0.0))
-
-    base = FactorModel(
+    ev, pc = spectral.eigenvalues, spectral.components
+    # every dropped term is >= 0; no dropped pair (f_hat = F) gives nu = 0
+    nu = np.sqrt((pc[f_hat:].T ** 2 @ ev[f_hat:]) / var)
+    nu.setflags(write=False)
+    model = FactorModel(
         specific_risk=nu * target.specific_risk,
-        loadings=np.hstack([nu[:, None] * target.loadings, kept_pc.T]),
-        fcm=_block_fcm(target.fcm, kept_ev),
+        loadings=np.hstack([nu[:, None] * target.loadings, pc[:f_hat].T]),
+        fcm=_block_fcm(target.fcm, ev[:f_hat]),
     )
-    return TruncatedPCModel(base=base, nu=nu, f_hat=f_hat)
+    return model, nu

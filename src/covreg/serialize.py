@@ -23,7 +23,6 @@ from .covariance import SpectralDecomposition
 from .errors import NumericalError, ParseError
 from .factors import FactorModel
 from .panels import csv_rows, parse_cells
-from .regularizers import TruncatedPCModel
 
 CSV_FORMAT = "%.12g"
 
@@ -106,10 +105,10 @@ def shrunk_to_json_dict(model: FactorModel, q: float) -> dict:
     return out
 
 
-def truncated_to_json_dict(model: TruncatedPCModel) -> dict:
-    out = factor_model_to_json_dict(model.base)
-    out["f_hat"] = model.f_hat
-    out["nu"] = model.nu
+def truncated_to_json_dict(model: FactorModel, f_hat: int, nu: np.ndarray) -> dict:
+    out = factor_model_to_json_dict(model)
+    out["f_hat"] = f_hat
+    out["nu"] = nu
     return out
 
 

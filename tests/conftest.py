@@ -46,13 +46,12 @@ def dense_solve_inverse(model: FactorModel) -> np.ndarray:
     return np.linalg.inv(brute_force_dense(model))
 
 
-def random_demeaned(rng, n, t) -> cr.DemeanedPanel:
-    data = rng.standard_normal((n, t))
-    return cr.DemeanedPanel(data - data.mean(axis=1, keepdims=True))
+def random_panel(rng, n, t) -> cr.ReturnsPanel:
+    return cr.ReturnsPanel(rng.standard_normal((n, t)), tuple(f"A{i}" for i in range(n)))
 
 
 def random_scm(rng, n, t) -> cr.SampleCovariance:
-    return cr.sample_covariance(random_demeaned(rng, n, t))
+    return cr.sample_covariance(random_panel(rng, n, t))
 
 
 def random_pd_model(rng, n, k) -> FactorModel:

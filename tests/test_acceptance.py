@@ -28,8 +28,7 @@ def _report(name):
 
 def _random_scm(rng, n, t):
     data = rng.standard_normal((n, t))
-    x = cr.DemeanedPanel(data - data.mean(axis=1, keepdims=True))
-    return cr.sample_covariance(x)
+    return cr.sample_covariance(cr.ReturnsPanel(data, tuple(f"A{i}" for i in range(n))))
 
 
 def test_criterion_1_central_identity():
@@ -88,16 +87,16 @@ def test_criterion_3_diagonal_preservation():
                   else cr.constant_correlation_target(scm, cr.estimate_rho(scm)))
         f = spectral.n_positive
         for f_hat in sorted({0, min(1, f), f // 2, f}):
-            model = cr.truncated_pc_model(scm, spectral, target, f_hat)
-            d = cr.dense(model.base)
+            model, _ = cr.truncated_pc_model(scm, spectral, target, f_hat)
+            d = cr.dense(model)
             rel = np.abs(np.diag(d) - scm.variances) / scm.variances
             assert rel.max() <= 1e-9, (n, t, f_hat, rel.max())
         # endpoints
-        at_zero = cr.dense(cr.truncated_pc_model(scm, spectral, target, 0).base)
+        at_zero = cr.dense(cr.truncated_pc_model(scm, spectral, target, 0)[0])
         target_dense = cr.dense(target)
         err0 = np.linalg.norm(at_zero - target_dense)
         assert err0 <= 1e-9 * np.linalg.norm(target_dense)
-        at_full = cr.dense(cr.truncated_pc_model(scm, spectral, target, f).base)
+        at_full = cr.dense(cr.truncated_pc_model(scm, spectral, target, f)[0])
         errf = np.linalg.norm(at_full - scm.c)
         assert errf <= 1e-9 * np.linalg.norm(scm.c)
     _report("criterion 3: truncated-PC diagonal preservation + endpoints, "
@@ -174,9 +173,9 @@ def test_criterion_7_oracle_equivalences():
         n = int(rng.integers(3, 11))
         t = int(rng.integers(3, 25))
         data = rng.standard_normal((n, t))
-        x = cr.DemeanedPanel(data - data.mean(axis=1, keepdims=True))
+        x = cr.ReturnsPanel(data, tuple(f"A{i}" for i in range(n)))
         scm = cr.sample_covariance(x)
-        assert np.abs(scm.c - brute_force_covariance(x.x)).max() <= 1e-8
+        assert np.abs(scm.c - brute_force_covariance(cr.demean(x))).max() <= 1e-8
 
         model = random_pd_model(rng, n, int(rng.integers(1, 4)))
         oracle_dense = brute_force_dense(model)

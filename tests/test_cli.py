@@ -54,7 +54,7 @@ def run(capsys, *argv):
 def test_scm_matches_library(panel_path, capsys):
     code, out, _ = run(capsys, "scm", "-i", panel_path)
     assert code == 0
-    expected = cr.sample_covariance(cr.demean(cr.loads_panel(PANEL_CSV))).c
+    expected = cr.sample_covariance(cr.loads_panel(PANEL_CSV)).c
     np.testing.assert_allclose(matrix_from_csv(out), expected, rtol=1e-11)
 
 
@@ -182,7 +182,7 @@ def test_output_file(panel_path, tmp_path, capsys):
 
 
 def test_rho_auto_matches_estimate(panel_path, capsys):
-    scm = cr.sample_covariance(cr.demean(cr.loads_panel(PANEL_CSV)))
+    scm = cr.sample_covariance(cr.loads_panel(PANEL_CSV))
     rho = cr.estimate_rho(scm)
     code, out, _ = run(
         capsys, "shrink", "-i", panel_path, "--q", "1",
@@ -231,6 +231,12 @@ def test_malformed_method_spec_exits_2(panel_path, capsys, method):
     code, out, err = run(capsys, "eval", "-i", panel_path, "--method", method)
     assert out == ""
     assert_one_line_error(code, err)
+
+
+def test_method_q_checked_before_the_input_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run(capsys, "eval", "-i", missing, "--method", "shrink,q=1.5")
+    assert (code, out, err) == (2, "", "error: q must be in [0, 1], got 1.5\n")
 
 
 def test_repeated_method_key_named(panel_path, capsys):
@@ -530,6 +536,23 @@ def test_variances_near_float_limit(tmp_path, argv, code, err):
     assert (proc.returncode, proc.stderr) == (code, err)
     if code == 0:
         assert np.isfinite(matrix_from_csv(proc.stdout)).all()
+
+
+ROW_SUM_OVERFLOWS = {
+    "sum": [[1.7e308, 1.7e308, -1.7e308], [1.0, 2.0, 4.0]],
+    "constant": [[1.7e308, 1.7e308, 1.7e308], [1.0, 2.0, 4.0]],
+}
+
+
+@pytest.mark.parametrize("rows", ROW_SUM_OVERFLOWS.values(), ids=ROW_SUM_OVERFLOWS.keys())
+@pytest.mark.parametrize("argv", [["scm"], ["shrink", "--q", "0.5"], ["truncate", "--f-hat", "1"]],
+                         ids=["scm", "shrink", "truncate"])
+def test_row_sum_overflow_exits_2(tmp_path, argv, rows):
+    # every cell is finite but a row's sum is not: its mean, and so its demeaned row, is
+    # non-finite. One error line, no RuntimeWarning, no output
+    proc = run_cli_on_rows(tmp_path, np.array(rows), *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: covariance has non-finite entries\n"
 
 
 @pytest.mark.parametrize("t", [40, 250], ids=["svd", "eigh"])

@@ -6,14 +6,14 @@ from covreg.covariance import SampleCovariance, spectral_decompose
 from covreg.errors import NegativeEigenvalueError, ValidationError, ZeroVarianceAsset
 
 from conftest import (brute_force_covariance, collinear_rows, near_duplicate_rows,
-                      one_factor_rows, random_demeaned, random_scm, spectral_route,
+                      one_factor_rows, random_panel, random_scm, spectral_route,
                       spread_variance_rows)
 
 
 def panel_from(rows):
     rows = np.asarray(rows, dtype=float)
     ids = tuple(f"A{i}" for i in range(rows.shape[0]))
-    return cr.demean(cr.ReturnsPanel(returns=rows, asset_ids=ids))
+    return cr.ReturnsPanel(returns=rows, asset_ids=ids)
 
 
 class TestSampleCovariance:
@@ -28,10 +28,10 @@ class TestSampleCovariance:
         assert scm.c[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_brute_force_oracle(self, rng):
-        x = random_demeaned(rng, 5, 21)
+        x = random_panel(rng, 5, 21)
         scm = cr.sample_covariance(x)
         np.testing.assert_allclose(
-            scm.c, brute_force_covariance(x.x), rtol=0, atol=1e-12
+            scm.c, brute_force_covariance(cr.demean(x)), rtol=0, atol=1e-12
         )
 
     def test_exact_symmetry(self, rng):
@@ -42,6 +42,11 @@ class TestSampleCovariance:
         with pytest.raises(ZeroVarianceAsset):
             cr.sample_covariance(panel_from([[5, 5, 5], [1, 2, 3]]))
 
+
+    def test_row_sum_overflow_rejected(self):
+        # the row mean overflows, so the demeaned row is non-finite
+        with pytest.raises(ValidationError, match="non-finite entries"):
+            cr.sample_covariance(panel_from([[1.7e308, 1.7e308, -1.7e308], [1, 2, 4]]))
 
     def test_variances_near_the_float_limit(self):
         # sum_t x_it^2 near 250 x 7.8e305 overflows, the variance itself does not:
@@ -109,9 +114,9 @@ class TestSpectralDecompose:
 
     def test_quasi_null_scaling_consistent(self, rng):
         # relative threshold: rescaling the panel must not change the rank
-        x = random_demeaned(rng, 10, 5)
+        x = random_panel(rng, 10, 5)
         a = spectral_decompose(cr.sample_covariance(x))
-        scaled = cr.DemeanedPanel(x.x * 1e-6)
+        scaled = cr.ReturnsPanel(x.returns * 1e-6, x.asset_ids)
         b = spectral_decompose(cr.sample_covariance(scaled))
         assert a.n_positive == b.n_positive
 
@@ -121,10 +126,10 @@ class TestPanelRoot:
 
     @pytest.mark.parametrize("n, t", [(12, 5), (5, 12)], ids=["wide", "tall"])
     def test_c_formed_on_first_read(self, rng, n, t):
-        x = random_demeaned(rng, n, t)
+        x = random_panel(rng, n, t)
         scm = cr.sample_covariance(x)
         assert scm._c is None
-        oracle = brute_force_covariance(x.x)
+        oracle = brute_force_covariance(cr.demean(x))
         np.testing.assert_allclose(scm.variances, np.diag(oracle), rtol=1e-14, atol=0)
         s = rng.uniform(0.5, 2.0, n)
         assert scm.quadratic_form(s) == pytest.approx(s @ oracle @ s, rel=1e-12)
@@ -135,12 +140,12 @@ class TestPanelRoot:
 
     @pytest.mark.parametrize("n, t", [(12, 5), (5, 12)], ids=["wide", "tall"])
     def test_gram_root(self, rng, n, t):
-        x = random_demeaned(rng, n, t)
+        x = random_panel(rng, n, t)
         scm = cr.sample_covariance(x)
         r = scm.gram_root
         assert r.shape == (n, min(n, t))
         np.testing.assert_allclose(r @ r.T / scm.n_obs_minus_one,
-                                   brute_force_covariance(x.x), rtol=0, atol=1e-12)
+                                   brute_force_covariance(cr.demean(x)), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, t", [(12, 5), (5, 12)], ids=["wide", "tall"])
     def test_zero_variance_asset_rejected_without_c(self, rng, n, t, monkeypatch):
@@ -174,7 +179,7 @@ class TestThinSvdPath:
 
     @pytest.mark.parametrize("n, t, wide", [(10, 5, True), (10, 6, False)])
     def test_svd_only_when_wide(self, rng, monkeypatch, n, t, wide):
-        scm = cr.sample_covariance(random_demeaned(rng, n, t))
+        scm = cr.sample_covariance(random_panel(rng, n, t))
         assert spectral_route(monkeypatch, scm) == ("svd" if wide else "eigh")
 
     def test_from_matrix_takes_eigh(self, monkeypatch):
@@ -197,7 +202,7 @@ class TestThinSvdPath:
             assert row[np.argmax(np.abs(row))] > 0
         if x.n_assets <= 20:
             np.testing.assert_allclose(
-                svd.reconstruct(), brute_force_covariance(x.x), rtol=0, atol=1e-12
+                svd.reconstruct(), brute_force_covariance(cr.demean(x)), rtol=0, atol=1e-12
             )
         else:
             err = np.linalg.norm(svd.reconstruct() - scm.c)

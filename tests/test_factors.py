@@ -13,7 +13,7 @@ from covreg.serialize import (
     factor_model_to_json_dict,
 )
 
-from conftest import (brute_force_dense, dense_solve_inverse, random_demeaned,
+from conftest import (brute_force_dense, dense_solve_inverse, random_panel,
                       random_pd_model)
 
 
@@ -187,7 +187,7 @@ def test_ill_conditioned_iff_bound_exceeds_limit(over):
 @pytest.mark.parametrize("target_kind", ["diagonal", "constant_correlation"])
 def test_block_diagonal_models_decompose_nothing(rng, monkeypatch, target_kind):
     # both regularizers build a diagonal FCM, whose diagonal is its spectrum
-    scm = cr.sample_covariance(random_demeaned(rng, 30, 12))
+    scm = cr.sample_covariance(random_panel(rng, 30, 12))
     spectral = cr.spectral_decompose(scm)
     target = cr.build_target(scm, target_kind)
 
@@ -197,8 +197,8 @@ def test_block_diagonal_models_decompose_nothing(rng, monkeypatch, target_kind):
     for name in ("svd", "cond", "eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, refuse)
     shrunk = cr.shrink_as_factor_model(spectral, target, 0.5)
-    truncated = cr.truncated_pc_model(scm, spectral, target, 2)
-    for model in (shrunk, truncated.base):
+    truncated, _ = cr.truncated_pc_model(scm, spectral, target, 2)
+    for model in (shrunk, truncated):
         assert np.isfinite(cr.min_variance_weights(model)).all()
 
 

@@ -81,7 +81,7 @@ class TestGeneratePanel:
 
     def test_one_factor_beta_zero_uncorrelated(self):
         spec = cr.SyntheticSpec(n_assets=6, n_obs=10_000, seed=3, beta=np.zeros(6))
-        scm = cr.sample_covariance(cr.demean(cr.generate_panel(spec)))
+        scm = cr.sample_covariance(cr.generate_panel(spec))
         sigma = np.sqrt(scm.variances)
         corr = scm.c / np.outer(sigma, sigma)
         iu = np.triu_indices(6, k=1)
@@ -136,7 +136,7 @@ class TestGeneratePanel:
                                 factor_variance=0.3, specific_variances=sv)
         truth = spec.true_covariance()
         assert truth.tobytes() == (0.3 * (beta @ beta.T) + np.diag(sv)).tobytes()
-        scm = cr.sample_covariance(cr.demean(cr.generate_panel(spec)))
+        scm = cr.sample_covariance(cr.generate_panel(spec))
         # each entry's standard error is at most about sqrt(2 / T) max(truth)
         np.testing.assert_allclose(scm.c, truth, rtol=0, atol=0.05 * np.abs(truth).max())
         assert np.linalg.matrix_rank(truth - np.diag(sv)) == 3
@@ -190,7 +190,7 @@ def two_generator_bai_yin(n, m, trials, seed):
     for child in np.random.SeedSequence(seed).spawn(trials):
         data = np.random.default_rng(child).standard_normal((n, m + 1))
         panel = cr.ReturnsPanel(data, tuple(f"A{i + 1:04d}" for i in range(n)))
-        scm = cr.sample_covariance(cr.demean(panel))
+        scm = cr.sample_covariance(panel)
         evals = np.linalg.eigvalsh(scm.c if n <= m + 1 else scm.x.T @ scm.x / m)
         evals = evals[evals > _quasi_null_threshold(evals)]
         mins.append(evals[0])
@@ -405,7 +405,7 @@ class TestGramRecords:
                 in_err = np.ldexp(cfg.q * gaps[cfg.target_kind], 2 * e)
                 assert rec.in_sample_error == pytest.approx(in_err, rel=IN_SAMPLE_REL, abs=0)
             else:
-                est = dense(truncated_pc_model(scm_train, spectral, target, cfg.f_hat).base)
+                est = dense(truncated_pc_model(scm_train, spectral, target, cfg.f_hat)[0])
                 in_err = np.ldexp(offdiag_norm(est - scm_train.c), 2 * e)
                 assert rec.in_sample_error == pytest.approx(in_err, rel=RECORD_REL, abs=0)
             out_err = np.ldexp(offdiag_norm(est - scm_test.c), 2 * e)
@@ -459,6 +459,12 @@ class TestGramRecords:
 
 
 class TestMethodConfig:
+    @pytest.mark.parametrize("kind", ["shrink", "scm_ridge"])
+    @pytest.mark.parametrize("q", [1.5, -0.1, float("nan")])
+    def test_q_outside_unit_interval_rejected(self, kind, q):
+        with pytest.raises(ValidationError, match=r"q must be in \[0, 1\]"):
+            MethodConfig(kind=kind, q=q)
+
     def test_scm_ridge_default_q_in_label_and_fit(self):
         cfg = MethodConfig(kind="scm_ridge")
         assert cfg.q == 0.01

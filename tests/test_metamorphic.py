@@ -28,10 +28,10 @@ def one_factor_panel(n, t, seed=7):
 
 def fit(panel, target_kind):
     """(C, nu of the one-PC truncated model, min-variance weights of shrink q=0.5)."""
-    scm = cr.sample_covariance(cr.demean(panel))
+    scm = cr.sample_covariance(panel)
     spectral = cr.spectral_decompose(scm)
     target = cr.build_target(scm, target_kind)
-    nu = cr.truncated_pc_model(scm, spectral, cr.diagonal_target(scm), 1).nu
+    _, nu = cr.truncated_pc_model(scm, spectral, cr.diagonal_target(scm), 1)
     model = cr.shrink_as_factor_model(spectral, target, 0.5)
     return scm, nu, cr.min_variance_weights(model)
 
@@ -76,7 +76,7 @@ def test_weights_exact_under_power_of_two_scaling(k):
     scaled = cr.ReturnsPanel(returns=np.ldexp(panel.returns, k), asset_ids=panel.asset_ids)
     fits = []
     for p in (panel, scaled):
-        scm = cr.sample_covariance(cr.demean(p))
+        scm = cr.sample_covariance(p)
         target = cr.build_target(scm, "constant_correlation")
         assert target.loadings.any()
         fits.append(cr.min_variance_weights(

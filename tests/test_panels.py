@@ -164,13 +164,23 @@ def test_same_bytes_same_panel_from_string_path_and_stdin(tmp_path, monkeypatch,
 def test_demean_simple_rows():
     panel = cr.loads_panel("id,a,b,c\nX,1,2,3\nY,3,2,1\n")
     out = cr.demean(panel)
-    np.testing.assert_allclose(out.x, [[-1, 0, 1], [1, 0, -1]], atol=1e-15)
+    np.testing.assert_allclose(out, [[-1, 0, 1], [1, 0, -1]], atol=1e-15)
+
+
+def test_demean_is_read_only_and_quiet_on_overflow():
+    # a row whose sum overflows comes out non-finite, with no RuntimeWarning
+    panel = cr.loads_panel("id,a,b,c\nX,1.7e308,1.7e308,-1.7e308\nY,1,2,4\n")
+    out = cr.demean(panel)
+    assert not np.isfinite(out[0]).any()
+    np.testing.assert_allclose(out[1], [-4 / 3, -1 / 3, 5 / 3], rtol=1e-15)
+    with pytest.raises(ValueError):
+        out[1, 0] = 0.0
 
 
 def test_demean_constant_row_is_zero():
     panel = cr.loads_panel("id,a,b,c\nX,5,5,5\nY,1,2,3\n")
     out = cr.demean(panel)
-    np.testing.assert_array_equal(out.x[0], [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(out[0], [0.0, 0.0, 0.0])
 
 
 panels = arrays(
@@ -186,7 +196,7 @@ def test_demean_row_sums_vanish(data):
     panel = cr.ReturnsPanel(
         returns=data, asset_ids=tuple(f"A{i}" for i in range(data.shape[0]))
     )
-    x = cr.demean(panel).x
+    x = cr.demean(panel)
     tol = 1e-10 * x.shape[1] * max(np.abs(x).max(), 1e-300)
     assert np.all(np.abs(x.sum(axis=1)) <= tol)
 
@@ -197,10 +207,10 @@ def test_demean_idempotent(data):
     panel = cr.ReturnsPanel(
         returns=data, asset_ids=tuple(f"A{i}" for i in range(data.shape[0]))
     )
-    once = cr.demean(panel).x
+    once = cr.demean(panel)
     twice = cr.demean(
         cr.ReturnsPanel(returns=once, asset_ids=panel.asset_ids)
-    ).x
+    )
     scale = max(np.abs(once).max(), 1e-300)
     np.testing.assert_allclose(twice, once, rtol=0, atol=1e-12 * scale)
 

@@ -59,7 +59,7 @@ class TestTargets:
         # one common factor keeps the mean inside the (0, 0.999) clamp
         x = rng.standard_normal((n, 60)) + rng.standard_normal(60)
         panel = cr.ReturnsPanel(x, tuple(f"A{i}" for i in range(n)))
-        scm = cr.sample_covariance(cr.demean(panel))
+        scm = cr.sample_covariance(panel)
         sigma = np.sqrt(np.diag(scm.c))
         pairs = [scm.c[i, j] / (sigma[i] * sigma[j])
                  for i in range(n) for j in range(i + 1, n)]
@@ -232,31 +232,31 @@ class TestTruncatedPC:
     def test_f_hat_full_reproduces_scm(self, rng):
         scm = random_scm(rng, 6, 4)  # singular: quasi-nulls must not matter
         spectral = cr.spectral_decompose(scm)
-        model = cr.truncated_pc_model(
+        model, nu = cr.truncated_pc_model(
             scm, spectral, cr.diagonal_target(scm), spectral.n_positive
         )
-        np.testing.assert_array_equal(model.nu, np.zeros(6))
-        np.testing.assert_allclose(cr.dense(model.base), scm.c, atol=1e-10)
+        np.testing.assert_array_equal(nu, np.zeros(6))
+        np.testing.assert_allclose(cr.dense(model), scm.c, atol=1e-10)
 
     def test_f_hat_zero_reproduces_target(self, rng):
         scm = random_scm(rng, 6, 30)
         spectral = cr.spectral_decompose(scm)
         target = cr.constant_correlation_target(scm, 0.25)
-        model = cr.truncated_pc_model(scm, spectral, target, 0)
-        np.testing.assert_allclose(model.nu, np.ones(6), rtol=1e-7)
+        model, nu = cr.truncated_pc_model(scm, spectral, target, 0)
+        np.testing.assert_allclose(nu, np.ones(6), rtol=1e-7)
         np.testing.assert_allclose(
-            cr.dense(model.base), cr.dense(target), atol=1e-8
+            cr.dense(model), cr.dense(target), atol=1e-8
         )
 
     @pytest.mark.parametrize("shape", [(5, 40), (40, 12)], ids=["tall", "wide"])
     def test_diagonal_preserved_midway(self, rng, shape):
         x = rng.standard_normal(shape)
         scm = cr.sample_covariance(
-            cr.DemeanedPanel(x - x.mean(axis=1, keepdims=True))
+            cr.ReturnsPanel(x, tuple(f"A{i}" for i in range(shape[0])))
         )
         spectral = cr.spectral_decompose(scm)
-        model = cr.truncated_pc_model(scm, spectral, cr.diagonal_target(scm), 1)
-        d = cr.dense(model.base)
+        model, _ = cr.truncated_pc_model(scm, spectral, cr.diagonal_target(scm), 1)
+        d = cr.dense(model)
         np.testing.assert_allclose(np.diag(d), scm.variances, rtol=1e-12)
         # off-diagonals are a genuine blend: differ from both endpoints
         assert not np.allclose(d, scm.c)
@@ -266,17 +266,17 @@ class TestTruncatedPC:
         scm = random_scm(rng, 7, 5)
         spectral = cr.spectral_decompose(scm)
         for f_hat in range(spectral.n_positive + 1):
-            model = cr.truncated_pc_model(
+            _, nu = cr.truncated_pc_model(
                 scm, spectral, cr.diagonal_target(scm), f_hat
             )
-            assert np.all(model.nu >= 0)
+            assert np.all(nu >= 0)
 
     def test_dense_psd_for_psd_target(self, rng):
         scm = random_scm(rng, 6, 4)
         spectral = cr.spectral_decompose(scm)
         target = random_matched_target(rng, scm, 2)
         for f_hat in (0, 1, spectral.n_positive):
-            d = cr.dense(cr.truncated_pc_model(scm, spectral, target, f_hat).base)
+            d = cr.dense(cr.truncated_pc_model(scm, spectral, target, f_hat)[0])
             assert np.linalg.eigvalsh(d).min() >= -1e-9 * np.abs(d).max()
 
     def test_f_hat_out_of_range(self, rng):
@@ -286,5 +286,16 @@ class TestTruncatedPC:
             cr.truncated_pc_model(
                 scm, spectral, cr.diagonal_target(scm), spectral.n_positive + 1
             )
-        with pytest.raises(FhatOutOfRange):
-            cr.truncated_pc_model(scm, spectral, cr.diagonal_target(scm), -1)
+        for f_hat in (-1, 1.5, 1.0):
+            with pytest.raises(FhatOutOfRange):
+                cr.truncated_pc_model(scm, spectral, cr.diagonal_target(scm), f_hat)
+
+    def test_numpy_int_f_hat_and_read_only_nu(self, rng):
+        scm = random_scm(rng, 5, 20)
+        spectral = cr.spectral_decompose(scm)
+        target = cr.diagonal_target(scm)
+        model, nu = cr.truncated_pc_model(scm, spectral, target, np.int64(1))
+        want, _ = cr.truncated_pc_model(scm, spectral, target, 1)
+        np.testing.assert_array_equal(cr.dense(model), cr.dense(want))
+        with pytest.raises(ValueError):
+            nu[0] = 1.0

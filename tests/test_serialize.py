@@ -47,7 +47,7 @@ def reference_json(obj) -> str:
 
 def scm_of(rows: np.ndarray) -> cr.SampleCovariance:
     panel = cr.ReturnsPanel(rows, tuple(f"A{i}" for i in range(rows.shape[0])))
-    return cr.sample_covariance(cr.demean(panel))
+    return cr.sample_covariance(panel)
 
 
 def bits(m: np.ndarray) -> np.ndarray:
@@ -135,9 +135,9 @@ def test_json_refuses_non_finite_array_entry(rng, value, mirrored):
 def test_builders_write_what_the_flat_lists_wrote(rng):
     scm = scm_of(one_factor_rows(rng, 8, 5))
     spectral = cr.spectral_decompose(scm)
-    model = truncated_pc_model(scm, spectral, build_target(scm, "diagonal"), 1)
+    model, _ = truncated_pc_model(scm, spectral, build_target(scm, "diagonal"), 1)
     for payload in (matrix_to_json_dict(scm.c), spectral_to_json_dict(spectral),
-                    factor_model_to_json_dict(model.base)):
+                    factor_model_to_json_dict(model)):
         assert dumps(payload) == reference_json(payload)
 
 
@@ -181,7 +181,7 @@ def cli_dense_outputs(rows: np.ndarray) -> dict:
         "shrink diagonal": shrink_dense(scm, diagonal, 0.5),
         "shrink constant_correlation": shrink_dense(
             scm, build_target(scm, "constant_correlation"), 0.5),
-        "truncate": cr.dense(truncated_pc_model(scm, spectral, diagonal, 1).base),
+        "truncate": cr.dense(truncated_pc_model(scm, spectral, diagonal, 1)[0]),
         "from matrix": cr.SampleCovariance.from_matrix(
             matrix_from_csv(matrix_to_csv(scm.c))).c,
     }
