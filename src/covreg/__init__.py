@@ -7,6 +7,7 @@ regularizer that preserves the diagonal via per-asset rescaling.
 """
 
 from .covariance import (
+    LowRank,
     SampleCovariance,
     SpectralDecomposition,
     sample_covariance,
@@ -37,6 +38,7 @@ from .regularizers import (
 __all__ = [
     "BaiYinReport",
     "FactorModel",
+    "LowRank",
     "MethodConfig",
     "ReturnsPanel",
     "SampleCovariance",

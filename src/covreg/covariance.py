@@ -13,6 +13,7 @@ O(N T^2); any other SCM by an N x N eigh of C.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,19 @@ from .errors import NegativeEigenvalueError, ValidationError, ZeroVarianceAsset
 from .panels import ReturnsPanel, demean
 
 QUASI_NULL_REL = 1e-10
+
+
+class LowRank:
+    """B = W diag(s) W^T with W N x r, s (r,); its diagonal h is given or formed on first read."""
+
+    def __init__(self, w: np.ndarray, s: np.ndarray, h: np.ndarray | None = None):
+        self.w, self.s = w, s
+        if h is not None:
+            self.h = h
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        return (self.w * self.w) @ self.s
 
 
 class SampleCovariance:
@@ -36,7 +50,7 @@ class SampleCovariance:
     def __init__(self, c: np.ndarray | None, n_obs_minus_one: int,
                  x: np.ndarray | None = None):
         self.n_obs_minus_one, self.x = n_obs_minus_one, x
-        self._c = self._gram_root = None
+        self._c = None
         if x is not None:
             peak = np.maximum(x.max(axis=1), -x.min(axis=1))
             if not np.all(np.isfinite(peak)):
@@ -83,19 +97,18 @@ class SampleCovariance:
     def n_assets(self) -> int:
         return self.variances.shape[0]
 
-    @property
-    def gram_root(self) -> np.ndarray:
-        """R with C = R R^T / n_obs_minus_one and at most N columns.
+    @cached_property
+    def root(self) -> LowRank:
+        """C as LowRank(R, 1/M, variances), built once; R has at most N columns.
 
-        x itself when T <= N, else the N x N factor of a QR of x^T, so
+        R is x itself when T <= N, else the N x N factor of a QR of x^T, so
         products of roots cost O(N min(N, T)^2). Needs x.
         """
-        if self.x is None:
+        x = self.x
+        if x is None:
             raise ValidationError("an SCM built from a matrix has no panel root")
-        if self._gram_root is None:
-            x = self.x
-            self._gram_root = x if x.shape[1] <= x.shape[0] else np.linalg.qr(x.T, mode="r").T
-        return self._gram_root
+        r = x if x.shape[1] <= x.shape[0] else np.linalg.qr(x.T, mode="r").T
+        return LowRank(r, np.full(r.shape[1], 1.0 / self.n_obs_minus_one), self.variances)
 
     def quadratic_form(self, s: np.ndarray) -> float:
         """s^T C s, as ||x^T s||^2 / M when x is kept."""
@@ -147,6 +160,10 @@ class SpectralDecomposition:
     @property
     def n_assets(self) -> int:
         return self.components.shape[1]
+
+    def pairs(self, start: int = 0, stop: int | None = None) -> LowRank:
+        """The pairs start:stop as LowRank(V^T, lambda)."""
+        return LowRank(self.components[start:stop].T, self.eigenvalues[start:stop])
 
     def reconstruct(self) -> np.ndarray:
         """Sum of lambda(a) V(a) V(a)^T over retained pairs."""

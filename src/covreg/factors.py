@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import QUASI_NULL_REL
+from .covariance import QUASI_NULL_REL, LowRank
 from .errors import (
     IllConditioned,
     SingularSpecificRisk,
@@ -52,7 +52,7 @@ class FactorModel:
             raise ValidationError("specific risk must be non-negative")
         # Phi = V diag(theta) V^T: a diagonal Phi is its own spectrum (V = I),
         # any other takes one eigh. The factor part Omega Phi Omega^T is kept
-        # as W diag(max(theta, 0)) W^T with W = Omega V, Omega itself if V = I
+        # as factor = LowRank(W, max(theta, 0)) with W = Omega V, Omega itself if V = I
         theta, w = np.diag(phi), omega
         if np.count_nonzero(phi) > np.count_nonzero(theta):
             if not np.allclose(phi, phi.T, rtol=0, atol=1e-12 * np.abs(phi).max()):
@@ -61,7 +61,7 @@ class FactorModel:
             w = omega @ basis
         if k and theta.min() < -QUASI_NULL_REL * max(theta.max(), 0.0):
             raise ValidationError("fcm must be positive semi-definite")
-        object.__setattr__(self, "_factor", (w, np.maximum(theta, 0.0)))
+        object.__setattr__(self, "factor", LowRank(w, np.maximum(theta, 0.0)))
 
     @property
     def n_assets(self) -> int:
@@ -107,7 +107,7 @@ def _woodbury_terms(model: FactorModel):
     d_inv = 1.0 / xi2
     if model.n_factors == 0:
         return d_inv, None, None
-    w, theta = model._factor
+    w, theta = model.factor.w, model.factor.s
     with np.errstate(over="ignore"):  # an overflow fails the check below
         half = w * np.sqrt(theta) / xi[:, None]  # D^-1/2 B
         cond_bound = 1.0 + np.vdot(half, half)

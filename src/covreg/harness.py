@@ -10,13 +10,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .covariance import (SampleCovariance, SpectralDecomposition, _quasi_null_threshold,
-                         sample_covariance, spectral_decompose)
-from .errors import (DimensionMismatch, IllConditioned, InvalidSpec, NumericalError,
-                     SingularSpecificRisk, SplitTooSmall, ValidationError)
+from .covariance import (LowRank, SampleCovariance, SpectralDecomposition,
+                         _quasi_null_threshold, sample_covariance, spectral_decompose)
+from .errors import (DimensionMismatch, FhatOutOfRange, IllConditioned, InvalidSpec,
+                     NumericalError, SingularSpecificRisk, SplitTooSmall, ValidationError)
 from .factors import FactorModel, min_variance_weights
 from .panels import ReturnsPanel, synthetic_ids
-from .regularizers import (TARGET_KINDS, _require_matched_target, _require_q,
+from .regularizers import (TARGET_KINDS, _require_matched_target, _require_q, _require_rho,
                            build_target, shrink_as_factor_model, truncated_pc_model)
 
 
@@ -146,8 +146,11 @@ class MethodConfig:
 
     kind: "scm_ridge" (shrink with a small q, 0.01 when q is left at 0:
     the stand-in for raw SCM when inversion is required), "shrink", or
-    "truncated_pc". rho applies to the constant-correlation target and
-    may be None for "auto". q must be in [0, 1], as for shrinkage.
+    "truncated_pc". rho applies to the constant-correlation target only,
+    in [0, 1), and may be None for "auto"; a given rho shows in the label.
+    q must be in [0, 1], as for shrinkage, and f_hat an int >= 0 (its
+    upper bound needs the spectrum). InvalidSpec, RhoOutOfRange or
+    FhatOutOfRange otherwise.
     """
 
     kind: str
@@ -164,14 +167,22 @@ class MethodConfig:
         if self.kind == "scm_ridge" and not self.q:
             object.__setattr__(self, "q", 0.01)
         _require_q(self.q)
+        if not _is_int_at_least(self.f_hat, 0):
+            raise FhatOutOfRange(f"f_hat must be an int >= 0, got {self.f_hat}")
+        if self.rho is not None:
+            if self.target_kind != "constant_correlation":
+                raise InvalidSpec(f"rho applies only to the constant_correlation target, "
+                                  f"not {self.target_kind}")
+            _require_rho(self.rho)
 
     @property
     def label(self) -> str:
+        rho = "" if self.rho is None else f",rho={self.rho}"
         if self.kind == "scm_ridge":
-            return f"scm+ridge(q={self.q})"
+            return f"scm+ridge(q={self.q}{rho})"
         if self.kind == "shrink":
-            return f"shrink(q={self.q},{self.target_kind})"
-        return f"truncated_pc(f_hat={self.f_hat},{self.target_kind})"
+            return f"shrink(q={self.q},{self.target_kind}{rho})"
+        return f"truncated_pc(f_hat={self.f_hat},{self.target_kind}{rho})"
 
 
 def estimate_method(scm: SampleCovariance, spectral: SpectralDecomposition,
@@ -186,18 +197,15 @@ def estimate_method(scm: SampleCovariance, spectral: SpectralDecomposition,
     checked against scm as in regularizers; q must be in [0, 1].
     """
     target = build_target(scm, cfg.target_kind, cfg.rho)
-    w, theta = target._factor
+    loading, f, q = target.factor, cfg.f_hat, cfg.q
     if cfg.kind == "truncated_pc":
-        model, nu = truncated_pc_model(scm, spectral, target, cfg.f_hat)
-        rescaled = _LowRank(nu[:, None] * w, theta)
-        f = cfg.f_hat
-        kept = _LowRank(spectral.components[:f].T, spectral.eigenvalues[:f])
-        dropped = _LowRank(spectral.components[f:].T, spectral.eigenvalues[f:])
-        return model, [(1.0, rescaled), (1.0, kept)], [(1.0, rescaled), (-1.0, dropped)]
+        model, nu = truncated_pc_model(scm, spectral, target, f)
+        rescaled = LowRank(nu[:, None] * loading.w, loading.s)
+        return (model, [(1.0, rescaled), (1.0, spectral.pairs(0, f))],
+                [(1.0, rescaled), (-1.0, spectral.pairs(f))])
     _require_matched_target(scm, target)
-    loading, q = _LowRank(w, theta), cfg.q
     return (shrink_as_factor_model(spectral, target, q),
-            [(q, loading), (1.0 - q, scm)], [(q, loading), (-q, scm)])
+            [(q, loading), (1.0 - q, scm.root)], [(q, loading), (-q, scm.root)])
 
 
 @dataclass(frozen=True)
@@ -232,19 +240,11 @@ class StabilityReport:
         return "\n".join(lines)
 
 
-class _LowRank:
-    """B = W diag(s) W^T with W N x r, and its diagonal h."""
-
-    def __init__(self, w: np.ndarray, s: np.ndarray, h: np.ndarray | None = None):
-        self.w, self.s = w, s
-        self.h = (w * w) @ s if h is None else h
-
-
 class _OffdiagGram:
     """Gamma_ab = <offdiag B_a, offdiag B_b>_F over the bases of one run.
 
-    A basis is a _LowRank form, a SampleCovariance (R diag(1/M) R^T over
-    its gram_root R) or a dense N x N array (the truth). For two forms,
+    A basis is a LowRank (an SCM enters as its root) or a dense N x N
+    array (the truth). For two LowRanks,
     Gamma_ab = s_a^T (P o P) s_b - h_a . h_b with P = W_a^T W_b, in
     O(N r_a r_b); the truth enters through truth @ W_a, the only O(N^2)
     step. A run's bases are near unit scale (_split_scms), so every entry
@@ -255,21 +255,11 @@ class _OffdiagGram:
     def __init__(self):
         self._entries = {}
 
-    @staticmethod
-    def _form(basis):
-        """basis itself, or an SCM as R diag(1/M) R^T over its gram_root R."""
-        if not isinstance(basis, SampleCovariance):
-            return basis
-        w = basis.gram_root
-        return _LowRank(w, np.full(w.shape[1], 1.0 / basis.n_obs_minus_one), basis.variances)
-
     def entry(self, a, b) -> float:
         """Gamma_ab."""
         key = (id(a), id(b))
         if key not in self._entries:
-            fa, fb = self._form(a), self._form(b)
-            if isinstance(fa, np.ndarray):
-                fa, fb = fb, fa
+            fa, fb = (b, a) if isinstance(a, np.ndarray) else (a, b)
             if isinstance(fa, np.ndarray):
                 value = np.vdot(fa, fb) - np.diag(fa) @ np.diag(fb)
             elif isinstance(fb, np.ndarray):
@@ -297,7 +287,7 @@ class _OffdiagGram:
 
 def _leading_pc(scm: SampleCovariance) -> np.ndarray:
     """Unit leading PC of scm: R u / ||R u||, u the top eigenvector of R^T R."""
-    r = scm.gram_root
+    r = scm.root.w
     v = r @ np.linalg.eigh(r.T @ r)[1][:, -1]
     return v / np.linalg.norm(v)
 
@@ -384,7 +374,7 @@ def stability_experiment(
         except (SingularSpecificRisk, IllConditioned):
             realized = None
         scaled = {"in_sample_error": gram.norm(in_sample),
-                  "out_of_sample_error": gram.norm(fit + [(-1.0, scm_test)]),
+                  "out_of_sample_error": gram.norm(fit + [(-1.0, scm_test.root)]),
                   "truth_error": None if truth is None else gram.norm(fit + [(-1.0, truth)]),
                   "realized_variance": realized}
         records.append(MethodRecord(
@@ -398,7 +388,7 @@ def _grid_errors(scm_train: SampleCovariance, scm_test: SampleCovariance,
     """grid_search_q's closed-form error of shrink(q, target), one per grid q."""
     _require_matched_target(scm_train, target)
     q = np.asarray(grid, dtype=float)
-    return _OffdiagGram().norms([_LowRank(*target._factor), scm_train, scm_test],
+    return _OffdiagGram().norms([target.factor, scm_train.root, scm_test.root],
                                 np.stack([q, 1.0 - q, -np.ones_like(q)]))
 
 

@@ -43,9 +43,7 @@ def _require_matched_target(scm: SampleCovariance, target: FactorModel) -> None:
     """The one target check: same N as scm, diagonal within DIAG_MATCH_REL of C_ii."""
     if target.n_assets != scm.n_assets:
         raise DimensionMismatch("target size differs from SCM")
-    omega = target.loadings
-    target_diag = target.specific_risk ** 2 + ((omega @ target.fcm) * omega).sum(axis=1)
-    mismatch = np.abs(target_diag - scm.variances)
+    mismatch = np.abs(target.specific_risk ** 2 + target.factor.h - scm.variances)
     if np.any(mismatch > DIAG_MATCH_REL * scm.variances):
         raise DiagonalMismatch("target diagonal must equal SCM diagonal")
 
@@ -53,6 +51,11 @@ def _require_matched_target(scm: SampleCovariance, target: FactorModel) -> None:
 def _require_q(q: float) -> None:
     if not 0.0 <= q <= 1.0:
         raise ValidationError(f"q must be in [0, 1], got {q}")
+
+
+def _require_rho(rho: float) -> None:
+    if not 0.0 <= rho < 1.0:
+        raise RhoOutOfRange(f"rho must be in [0, 1), got {rho}")
 
 
 def diagonal_target(scm: SampleCovariance) -> FactorModel:
@@ -68,8 +71,7 @@ def constant_correlation_target(scm: SampleCovariance, rho: float) -> FactorMode
     sigma_i, so negative uniform correlation has no real representation
     in this form.
     """
-    if not 0.0 <= rho < 1.0:
-        raise RhoOutOfRange(f"rho must be in [0, 1), got {rho}")
+    _require_rho(rho)
     var = _require_positive_variances(scm)
     sigma = np.sqrt(var)
     xi = np.sqrt((1.0 - rho) * var)
@@ -158,13 +160,13 @@ def truncated_pc_model(
     _require_matched_target(scm, target)
     var = _require_positive_variances(scm)
 
-    ev, pc = spectral.eigenvalues, spectral.components
     # every dropped term is >= 0; no dropped pair (f_hat = F) gives nu = 0
-    nu = np.sqrt((pc[f_hat:].T ** 2 @ ev[f_hat:]) / var)
+    nu = np.sqrt(spectral.pairs(f_hat).h / var)
     nu.setflags(write=False)
+    kept = spectral.pairs(0, f_hat)
     model = FactorModel(
         specific_risk=nu * target.specific_risk,
-        loadings=np.hstack([nu[:, None] * target.loadings, pc[:f_hat].T]),
-        fcm=_block_fcm(target.fcm, ev[:f_hat]),
+        loadings=np.hstack([nu[:, None] * target.loadings, kept.w]),
+        fcm=_block_fcm(target.fcm, kept.s),
     )
     return model, nu

@@ -41,6 +41,17 @@ def brute_force_dense(model: FactorModel) -> np.ndarray:
     return d
 
 
+def brute_force_low_rank(w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Triple-loop assembly of W diag(s) W^T."""
+    n, r = w.shape
+    b = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            for a in range(r):
+                b[i, j] += w[i, a] * s[a] * w[j, a]
+    return b
+
+
 def dense_solve_inverse(model: FactorModel) -> np.ndarray:
     """General-purpose dense inverse of the assembled matrix."""
     return np.linalg.inv(brute_force_dense(model))

@@ -239,6 +239,28 @@ def test_method_q_checked_before_the_input_is_read(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: q must be in [0, 1], got 1.5\n")
 
 
+@pytest.mark.parametrize("method, message", [
+    ("truncated_pc,f_hat=-1", "f_hat must be an int >= 0, got -1"),
+    ("shrink,target=constant_correlation,rho=1.5", "rho must be in [0, 1), got 1.5"),
+    ("shrink,q=0.5,rho=0.5", "rho applies only to the constant_correlation target, not diagonal"),
+], ids=["f_hat", "rho", "rho_on_diagonal"])
+def test_method_f_hat_and_rho_checked_before_the_input_is_read(tmp_path, capsys, method, message):
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run(capsys, "eval", "-i", missing, "--method", method)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_methods_differing_only_in_rho_get_distinct_labels(eval_panel_path, capsys):
+    spec = "shrink,q=0.5,target=constant_correlation"
+    code, out, _ = run(capsys, "eval", "-i", eval_panel_path, "--method", spec + ",rho=0.1",
+                       "--method", spec + ",rho=0.8", "--method", spec, "--json")
+    assert code == 0
+    labels = [r["label"] for r in json.loads(out)["records"]]
+    assert labels == ["shrink(q=0.5,constant_correlation,rho=0.1)",
+                      "shrink(q=0.5,constant_correlation,rho=0.8)",
+                      "shrink(q=0.5,constant_correlation)"]
+
+
 def test_repeated_method_key_named(panel_path, capsys):
     code, _, err = run(capsys, "eval", "-i", panel_path, "--method",
                        "shrink,target=diagonal,q=0.5,target=diagonal")

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import covreg as cr
-from covreg.covariance import SampleCovariance, spectral_decompose
+from covreg.covariance import LowRank, SampleCovariance, spectral_decompose
 from covreg.errors import NegativeEigenvalueError, ValidationError, ZeroVarianceAsset
 
-from conftest import (brute_force_covariance, collinear_rows, near_duplicate_rows,
-                      one_factor_rows, random_panel, random_scm, spectral_route,
-                      spread_variance_rows)
+from conftest import (brute_force_covariance, brute_force_low_rank, collinear_rows,
+                      near_duplicate_rows, one_factor_rows, random_panel, random_scm,
+                      spectral_route, spread_variance_rows)
 
 
 def panel_from(rows):
@@ -139,13 +139,20 @@ class TestPanelRoot:
         assert scm.c is scm.c
 
     @pytest.mark.parametrize("n, t", [(12, 5), (5, 12)], ids=["wide", "tall"])
-    def test_gram_root(self, rng, n, t):
+    def test_root(self, rng, n, t):
         x = random_panel(rng, n, t)
         scm = cr.sample_covariance(x)
-        r = scm.gram_root
+        r = scm.root.w
         assert r.shape == (n, min(n, t))
-        np.testing.assert_allclose(r @ r.T / scm.n_obs_minus_one,
-                                   brute_force_covariance(cr.demean(x)), rtol=0, atol=1e-12)
+        oracle = brute_force_covariance(cr.demean(x))
+        np.testing.assert_allclose(r @ r.T / scm.n_obs_minus_one, oracle, rtol=0, atol=1e-12)
+        # the root is C's LowRank form, built once: _OffdiagGram keys its entries on id
+        root = scm.root
+        assert isinstance(root, LowRank) and scm.root is root
+        np.testing.assert_array_equal(root.s, np.full(min(n, t), 1.0 / (t - 1)))
+        assert root.h is scm.variances
+        np.testing.assert_allclose(brute_force_low_rank(root.w, root.s), oracle,
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, t", [(12, 5), (5, 12)], ids=["wide", "tall"])
     def test_zero_variance_asset_rejected_without_c(self, rng, n, t, monkeypatch):
@@ -157,7 +164,36 @@ class TestPanelRoot:
 
     def test_from_matrix_has_no_panel_root(self):
         with pytest.raises(ValidationError):
-            SampleCovariance.from_matrix(np.eye(3)).gram_root
+            SampleCovariance.from_matrix(np.eye(3)).root
+
+
+class TestLowRank:
+    @pytest.mark.parametrize("r", [0, 1, 4])
+    def test_h_is_the_diagonal(self, rng, r):
+        w, s = rng.standard_normal((7, r)), rng.uniform(0.1, 2.0, r)
+        np.testing.assert_allclose(LowRank(w, s).h, np.diag(brute_force_low_rank(w, s)),
+                                   rtol=1e-13, atol=0)
+
+    def test_given_h_is_kept(self, rng):
+        given = rng.uniform(size=5)
+        assert LowRank(rng.standard_normal((5, 2)), np.ones(2), given).h is given
+
+    @pytest.mark.parametrize("make", [lambda rng: rng.standard_normal((12, 5)),
+                                      lambda rng: one_factor_rows(rng, 9, 30)],
+                             ids=["wide", "tall"])
+    def test_spectral_pairs(self, rng, make):
+        x = panel_from(make(rng))
+        spectral = spectral_decompose(cr.sample_covariance(x))
+        c = brute_force_covariance(cr.demean(x))
+        f = spectral.n_positive
+        for k in range(f + 1):
+            kept, dropped = spectral.pairs(0, k), spectral.pairs(k)
+            np.testing.assert_array_equal(kept.w, spectral.components[:k].T)
+            np.testing.assert_array_equal(dropped.s, spectral.eigenvalues[k:])
+            assert dropped.w.shape == (x.n_assets, f - k)
+            # the dropped-PC diagonal is C_ii minus the kept part
+            oracle = np.diag(c - brute_force_low_rank(kept.w, kept.s))
+            np.testing.assert_allclose(dropped.h, oracle, rtol=0, atol=1e-12 * c.max())
 
 
 def test_asymmetric_matrix_rejected():

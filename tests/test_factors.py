@@ -13,8 +13,8 @@ from covreg.serialize import (
     factor_model_to_json_dict,
 )
 
-from conftest import (brute_force_dense, dense_solve_inverse, random_panel,
-                      random_pd_model)
+from conftest import (brute_force_dense, brute_force_low_rank, dense_solve_inverse,
+                      random_panel, random_pd_model)
 
 
 class TestDense:
@@ -47,6 +47,20 @@ class TestDense:
         xi = np.array([0.5, 1.5, 2.5])
         model = FactorModel.diagonal(xi)
         np.testing.assert_array_equal(np.diag(cr.dense(model)), xi**2)
+
+
+class TestFactorPart:
+    @pytest.mark.parametrize("diagonal_phi", [True, False], ids=["diagonal", "psd"])
+    def test_factor_densifies_to_omega_phi_omega_t(self, rng, diagonal_phi):
+        model = random_pd_model(rng, 8, 3)
+        phi = np.diag(np.diag(model.fcm)) if diagonal_phi else model.fcm
+        model = FactorModel(specific_risk=model.specific_risk, loadings=model.loadings, fcm=phi)
+        oracle = brute_force_dense(FactorModel(np.zeros(8), model.loadings, phi))
+        if diagonal_phi:
+            assert model.factor.w is model.loadings
+        np.testing.assert_allclose(brute_force_low_rank(model.factor.w, model.factor.s),
+                                   oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
+        np.testing.assert_allclose(model.factor.h, np.diag(oracle), rtol=1e-12, atol=0)
 
 
 class TestInvert:

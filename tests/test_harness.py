@@ -8,7 +8,8 @@ import pytest
 import covreg as cr
 from covreg import factors, harness, regularizers
 from covreg.covariance import _quasi_null_threshold, spectral_decompose
-from covreg.errors import DimensionMismatch, InvalidSpec, SplitTooSmall, ValidationError
+from covreg.errors import (DimensionMismatch, FhatOutOfRange, InvalidSpec, RhoOutOfRange,
+                           SplitTooSmall, ValidationError)
 from covreg.factors import dense
 from covreg.harness import MethodConfig
 from covreg.regularizers import TARGET_KINDS, build_target, shrink_dense, truncated_pc_model
@@ -464,6 +465,34 @@ class TestMethodConfig:
     def test_q_outside_unit_interval_rejected(self, kind, q):
         with pytest.raises(ValidationError, match=r"q must be in \[0, 1\]"):
             MethodConfig(kind=kind, q=q)
+
+    @pytest.mark.parametrize("f_hat", [-1, -3, 1.5, 1.0, "1"])
+    def test_f_hat_not_a_non_negative_int_rejected(self, f_hat):
+        with pytest.raises(FhatOutOfRange, match="f_hat"):
+            MethodConfig(kind="truncated_pc", f_hat=f_hat)
+
+    @pytest.mark.parametrize("kind", ["shrink", "truncated_pc"])
+    @pytest.mark.parametrize("rho", [1.0, 1.5, 7.0, -0.1, float("nan")])
+    def test_rho_outside_unit_interval_rejected(self, kind, rho):
+        with pytest.raises(RhoOutOfRange, match=r"rho must be in \[0, 1\)"):
+            MethodConfig(kind=kind, target_kind="constant_correlation", rho=rho)
+
+    @pytest.mark.parametrize("kind", ["scm_ridge", "shrink", "truncated_pc"])
+    def test_rho_with_diagonal_target_rejected(self, kind):
+        with pytest.raises(InvalidSpec, match="rho"):
+            MethodConfig(kind=kind, rho=0.5)
+
+    def test_rho_in_label(self):
+        spec = dict(kind="shrink", q=0.5, target_kind="constant_correlation")
+        low, high = MethodConfig(**spec, rho=0.1), MethodConfig(**spec, rho=0.8)
+        assert low.label == "shrink(q=0.5,constant_correlation,rho=0.1)"
+        assert high.label == "shrink(q=0.5,constant_correlation,rho=0.8)"
+        assert MethodConfig(**spec).label == "shrink(q=0.5,constant_correlation)"
+        assert MethodConfig(kind="truncated_pc", f_hat=1, target_kind="constant_correlation",
+                            rho=0.0).label == "truncated_pc(f_hat=1,constant_correlation,rho=0.0)"
+        panel = cr.generate_panel(cr.SyntheticSpec(n_assets=6, n_obs=30, seed=9))
+        a, b = cr.stability_experiment(panel, 0.5, [low, high]).records
+        assert a.label != b.label and a.in_sample_error != b.in_sample_error
 
     def test_scm_ridge_default_q_in_label_and_fit(self):
         cfg = MethodConfig(kind="scm_ridge")
