@@ -9,7 +9,6 @@ regularizer that preserves the diagonal via per-asset rescaling.
 from .covariance import (
     LowRank,
     SampleCovariance,
-    SpectralDecomposition,
     sample_covariance,
     spectral_decompose,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "MethodConfig",
     "ReturnsPanel",
     "SampleCovariance",
-    "SpectralDecomposition",
     "StabilityReport",
     "SyntheticSpec",
     "bai_yin_check",

@@ -48,6 +48,13 @@ def _rho(text: str) -> float | None:
     return None if text == "auto" else _number(float, text, "rho")
 
 
+def _target_rho(args) -> float | None:
+    """--rho, checked against --target as MethodConfig checks it, before any input is read."""
+    rho = _rho(args.rho)
+    regularizers._require_target_rho(args.target, rho)
+    return rho
+
+
 def _emit(dense_out, model_json: dict, args) -> None:
     """Dense matrix plus factor model: one JSON object, or CSV + stderr JSON."""
     if args.json:
@@ -69,24 +76,26 @@ def _cmd_scm(args) -> None:
 
 
 def _cmd_spectral(args) -> None:
-    spectral = spectral_decompose(_load_scm(args))
-    _write(args.output, serialize.dumps(serialize.spectral_to_json_dict(spectral)), "\n")
+    pcs = spectral_decompose(_load_scm(args))
+    _write(args.output, serialize.dumps(serialize.spectral_to_json_dict(pcs)), "\n")
 
 
 def _cmd_shrink(args) -> None:
+    rho = _target_rho(args)
     scm = _load_scm(args)
-    spectral = spectral_decompose(scm)
-    target = regularizers.build_target(scm, args.target, _rho(args.rho))
+    pcs = spectral_decompose(scm)
+    target = regularizers.build_target(scm, args.target, rho)
     dense_out = regularizers.shrink_dense(scm, target, args.q)
-    model = regularizers.shrink_as_factor_model(spectral, target, args.q)
+    model = regularizers.shrink_as_factor_model(pcs, target, args.q)
     _emit(dense_out, serialize.shrunk_to_json_dict(model, args.q), args)
 
 
 def _cmd_truncate(args) -> None:
+    rho = _target_rho(args)
     scm = _load_scm(args)
-    spectral = spectral_decompose(scm)
-    target = regularizers.build_target(scm, args.target, _rho(args.rho))
-    model, nu = regularizers.truncated_pc_model(scm, spectral, target, args.f_hat)
+    pcs = spectral_decompose(scm)
+    target = regularizers.build_target(scm, args.target, rho)
+    model, nu = regularizers.truncated_pc_model(scm, pcs, target, args.f_hat)
     _emit(dense(model), serialize.truncated_to_json_dict(model, args.f_hat, nu), args)
 
 

@@ -12,7 +12,6 @@ O(N T^2); any other SCM by an N x N eigh of C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,6 +33,10 @@ class LowRank:
     @cached_property
     def h(self) -> np.ndarray:
         return (self.w * self.w) @ self.s
+
+    def pairs(self, start: int = 0, stop: int | None = None) -> "LowRank":
+        """The columns start:stop as LowRank(w[:, start:stop], s[start:stop])."""
+        return LowRank(self.w[:, start:stop], self.s[start:stop])
 
 
 class SampleCovariance:
@@ -121,55 +124,11 @@ class SampleCovariance:
     def from_matrix(cls, c: np.ndarray) -> "SampleCovariance":
         """Wrap an externally supplied matrix, symmetrizing exactly."""
         c = np.asarray(c, dtype=float)
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise ValidationError("covariance must be square")
         with np.errstate(over="ignore"):  # an overflow fails the finiteness check
             sym = 0.5 * (c + c.T)
         return cls(c=sym, n_obs_minus_one=sym.shape[0])
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Positive eigenpairs of an SCM, sorted descending.
-
-    components has shape (n_positive, N); row a is the a-th principal
-    component. Quasi-null and matching small negative eigenvalues were
-    rounded to zero and excluded.
-    """
-
-    eigenvalues: np.ndarray
-    components: np.ndarray
-    quasi_null_threshold: float
-
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        pc = np.asarray(self.components, dtype=float)
-        ev.setflags(write=False)
-        pc.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", ev)
-        object.__setattr__(self, "components", pc)
-        if np.any(ev <= 0):
-            raise ValidationError("retained eigenvalues must be positive")
-        if np.any(np.diff(ev) > 0):
-            raise ValidationError("eigenvalues must be non-increasing")
-        if pc.shape[0] != ev.shape[0]:
-            raise ValidationError("one component per eigenvalue required")
-
-    @property
-    def n_positive(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    @property
-    def n_assets(self) -> int:
-        return self.components.shape[1]
-
-    def pairs(self, start: int = 0, stop: int | None = None) -> LowRank:
-        """The pairs start:stop as LowRank(V^T, lambda)."""
-        return LowRank(self.components[start:stop].T, self.eigenvalues[start:stop])
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum of lambda(a) V(a) V(a)^T over retained pairs."""
-        if self.n_positive == 0:
-            return np.zeros((self.n_assets, self.n_assets))
-        return (self.components.T * self.eigenvalues) @ self.components
 
 
 def sample_covariance(panel: ReturnsPanel) -> SampleCovariance:
@@ -197,11 +156,13 @@ def _quasi_null_threshold(evals: np.ndarray) -> float:
     return threshold
 
 
-def spectral_decompose(scm: SampleCovariance) -> SpectralDecomposition:
-    """Eigendecompose, round quasi-null eigenvalues to zero, sort descending.
+def spectral_decompose(scm: SampleCovariance) -> LowRank:
+    """The positive eigenpairs as a read-only LowRank(V, lambda), lambda descending.
 
-    A wide panel (x with T <= N/2 columns) takes a thin SVD of x, lambda =
-    (s / sqrt(M))^2 and V = U, any other SCM eigh of C; both ascending here.
+    Quasi-null eigenvalues are rounded to zero and dropped, so V has one
+    column per retained pair. A wide panel (x with T <= N/2 columns)
+    takes a thin SVD of x, lambda = (s / sqrt(M))^2 and V = U, any other
+    SCM eigh of C; both ascending here.
     """
     x = scm.x
     if x is None or 2 * x.shape[1] > x.shape[0]:
@@ -211,13 +172,10 @@ def spectral_decompose(scm: SampleCovariance) -> SpectralDecomposition:
         with np.errstate(over="ignore"):  # an overflow fails the finiteness check
             evals = ((s / np.sqrt(scm.n_obs_minus_one)) ** 2)[::-1]
         evecs = u[:, ::-1]
-    threshold = _quasi_null_threshold(evals)
-    keep = evals > threshold
-    # descending order
+    keep = evals > _quasi_null_threshold(evals)
+    # descending order; V^T is kept row-major, one PC per row
+    rows = _fix_signs(evecs[:, keep][:, ::-1].T)
     evals = evals[keep][::-1]
-    evecs = evecs[:, keep][:, ::-1].T
-    return SpectralDecomposition(
-        eigenvalues=evals,
-        components=_fix_signs(evecs),
-        quasi_null_threshold=threshold,
-    )
+    rows.setflags(write=False)
+    evals.setflags(write=False)
+    return LowRank(rows.T, evals)

@@ -10,14 +10,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .covariance import (LowRank, SampleCovariance, SpectralDecomposition,
-                         _quasi_null_threshold, sample_covariance, spectral_decompose)
+from .covariance import (LowRank, SampleCovariance, _quasi_null_threshold, sample_covariance,
+                         spectral_decompose)
 from .errors import (DimensionMismatch, FhatOutOfRange, IllConditioned, InvalidSpec,
                      NumericalError, SingularSpecificRisk, SplitTooSmall, ValidationError)
 from .factors import FactorModel, min_variance_weights
 from .panels import ReturnsPanel, synthetic_ids
-from .regularizers import (TARGET_KINDS, _require_matched_target, _require_q, _require_rho,
-                           build_target, shrink_as_factor_model, truncated_pc_model)
+from .regularizers import (TARGET_KINDS, _require_matched_target, _require_q,
+                           _require_target_rho, build_target, shrink_as_factor_model,
+                           truncated_pc_model)
 
 
 def _is_int_at_least(x, low: int) -> bool:
@@ -169,25 +170,22 @@ class MethodConfig:
         _require_q(self.q)
         if not _is_int_at_least(self.f_hat, 0):
             raise FhatOutOfRange(f"f_hat must be an int >= 0, got {self.f_hat}")
-        if self.rho is not None:
-            if self.target_kind != "constant_correlation":
-                raise InvalidSpec(f"rho applies only to the constant_correlation target, "
-                                  f"not {self.target_kind}")
-            _require_rho(self.rho)
+        _require_target_rho(self.target_kind, self.rho)
 
     @property
     def label(self) -> str:
         rho = "" if self.rho is None else f",rho={self.rho}"
         if self.kind == "scm_ridge":
-            return f"scm+ridge(q={self.q}{rho})"
+            target = "" if self.target_kind == "diagonal" else f",{self.target_kind}"
+            return f"scm+ridge(q={self.q}{target}{rho})"
         if self.kind == "shrink":
             return f"shrink(q={self.q},{self.target_kind}{rho})"
         return f"truncated_pc(f_hat={self.f_hat},{self.target_kind}{rho})"
 
 
-def estimate_method(scm: SampleCovariance, spectral: SpectralDecomposition,
+def estimate_method(scm: SampleCovariance, pcs: LowRank,
                     cfg: MethodConfig) -> tuple[FactorModel, list, list]:
-    """Fit one method on an SCM and its decomposition.
+    """Fit one method on an SCM and its pairs pcs = spectral_decompose(scm).
 
     Returns (factor model, fit, in_sample): lists of (coefficient, basis)
     terms for _OffdiagGram whose sums have the off-diagonal of the fitted
@@ -199,12 +197,12 @@ def estimate_method(scm: SampleCovariance, spectral: SpectralDecomposition,
     target = build_target(scm, cfg.target_kind, cfg.rho)
     loading, f, q = target.factor, cfg.f_hat, cfg.q
     if cfg.kind == "truncated_pc":
-        model, nu = truncated_pc_model(scm, spectral, target, f)
+        model, nu = truncated_pc_model(scm, pcs, target, f)
         rescaled = LowRank(nu[:, None] * loading.w, loading.s)
-        return (model, [(1.0, rescaled), (1.0, spectral.pairs(0, f))],
-                [(1.0, rescaled), (-1.0, spectral.pairs(f))])
+        return (model, [(1.0, rescaled), (1.0, pcs.pairs(0, f))],
+                [(1.0, rescaled), (-1.0, pcs.pairs(f))])
     _require_matched_target(scm, target)
-    return (shrink_as_factor_model(spectral, target, q),
+    return (shrink_as_factor_model(pcs, target, q),
             [(q, loading), (1.0 - q, scm.root)], [(q, loading), (-q, scm.root)])
 
 
@@ -229,12 +227,13 @@ class StabilityReport:
         return asdict(self)
 
     def to_table(self) -> str:
-        header = f"{'method':<36} {'in_err':>12} {'out_err':>12} {'real_var':>12}"
+        width = max([36, *(len(r.label) for r in self.records)])
+        header = f"{'method':<{width}} {'in_err':>12} {'out_err':>12} {'real_var':>12}"
         lines = [header, "-" * len(header)]
         for r in self.records:
             rv = f"{r.realized_variance:.6g}" if r.invertible else "singular"
             lines.append(
-                f"{r.label:<36} {r.in_sample_error:>12.6g} "
+                f"{r.label:<{width}} {r.in_sample_error:>12.6g} "
                 f"{r.out_of_sample_error:>12.6g} {rv:>12}"
             )
         return "\n".join(lines)
@@ -362,13 +361,13 @@ def stability_experiment(
         if np.frexp(max(truth.max(), -truth.min()))[1] - 2 * e + n.bit_length() > 511:
             raise ValidationError("truth does not fit the panel's scale")
         truth = np.ldexp(truth, -2 * e)
-    spectral_train = spectral_decompose(scm_train)
-    pc_overlap = float(abs(spectral_train.components[0] @ _leading_pc(scm_test)))
+    pcs_train = spectral_decompose(scm_train)
+    pc_overlap = float(abs(pcs_train.w[:, 0] @ _leading_pc(scm_test)))
 
     gram = _OffdiagGram()
     records = []
     for cfg in methods:
-        model, fit, in_sample = estimate_method(scm_train, spectral_train, cfg)
+        model, fit, in_sample = estimate_method(scm_train, pcs_train, cfg)
         try:
             realized = scm_test.quadratic_form(min_variance_weights(model))
         except (SingularSpecificRisk, IllConditioned):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .covariance import SampleCovariance, SpectralDecomposition
+from .covariance import LowRank, SampleCovariance
 from .errors import (
     DiagonalMismatch,
     DimensionMismatch,
@@ -56,6 +56,16 @@ def _require_q(q: float) -> None:
 def _require_rho(rho: float) -> None:
     if not 0.0 <= rho < 1.0:
         raise RhoOutOfRange(f"rho must be in [0, 1), got {rho}")
+
+
+def _require_target_rho(target_kind: str, rho: float | None) -> None:
+    """A given rho (None is "auto") needs the constant_correlation target and [0, 1)."""
+    if rho is None:
+        return
+    if target_kind != "constant_correlation":
+        raise InvalidSpec(f"rho applies only to the constant_correlation target, "
+                          f"not {target_kind}")
+    _require_rho(rho)
 
 
 def diagonal_target(scm: SampleCovariance) -> FactorModel:
@@ -119,51 +129,48 @@ def shrink_dense(scm: SampleCovariance, target: FactorModel, q: float) -> np.nda
     return q * dense(target) + (1.0 - q) * scm.c
 
 
-def shrink_as_factor_model(
-    spectral: SpectralDecomposition, target: FactorModel, q: float
-) -> FactorModel:
+def shrink_as_factor_model(pcs: LowRank, target: FactorModel, q: float) -> FactorModel:
     """Rewrite the shrunk SCM as a factor model with block-diagonal FCM.
 
-    Loadings are the target's K columns followed by the F principal
-    components; the FCM is blockdiag(q * Phi, (1 - q) * diag(lambda));
+    pcs is LowRank(V, lambda) of C, as spectral_decompose returns it.
+    Loadings are the target's K columns followed by the F columns of V;
+    the FCM is blockdiag(q * Phi, (1 - q) * diag(lambda));
     specific variance is q * xi^2.
     """
     _require_q(q)
-    if target.n_assets != spectral.n_assets:
+    if target.n_assets != pcs.w.shape[0]:
         raise DimensionMismatch("target size differs from spectral decomposition")
     return FactorModel(
         specific_risk=np.sqrt(q) * target.specific_risk,
-        loadings=np.hstack([target.loadings, spectral.components.T]),
-        fcm=_block_fcm(q * target.fcm, (1.0 - q) * spectral.eigenvalues),
+        loadings=np.hstack([target.loadings, pcs.w]),
+        fcm=_block_fcm(q * target.fcm, (1.0 - q) * pcs.s),
     )
 
 
 def truncated_pc_model(
-    scm: SampleCovariance,
-    spectral: SpectralDecomposition,
-    target: FactorModel,
-    f_hat: int,
+    scm: SampleCovariance, pcs: LowRank, target: FactorModel, f_hat: int
 ) -> tuple[FactorModel, np.ndarray]:
     """(model, read-only nu): the top f_hat principal components and the target rescaled by nu.
 
+    pcs is LowRank(V, lambda) of scm, as spectral_decompose returns it;
     nu_i^2 = (1 / C_ii) * sum over dropped components of lambda V_i^2,
     which pins the dense diagonal to C_ii with no shrinkage constant.
     The rescaling multiplies both the specific risk and the target
     loadings (the target block enters as nu_i nu_j Delta_ij).
     FhatOutOfRange unless f_hat is a Python or numpy int in [0, F].
     """
-    f = spectral.n_positive
+    f = pcs.s.shape[0]
     if not (isinstance(f_hat, (int, np.integer)) and 0 <= f_hat <= f):
         raise FhatOutOfRange(f"f_hat must be in [0, {f}], got {f_hat}")
-    if spectral.n_assets != scm.n_assets:
+    if pcs.w.shape[0] != scm.n_assets:
         raise DimensionMismatch("spectral size differs from SCM")
     _require_matched_target(scm, target)
     var = _require_positive_variances(scm)
 
     # every dropped term is >= 0; no dropped pair (f_hat = F) gives nu = 0
-    nu = np.sqrt(spectral.pairs(f_hat).h / var)
+    nu = np.sqrt(pcs.pairs(f_hat).h / var)
     nu.setflags(write=False)
-    kept = spectral.pairs(0, f_hat)
+    kept = pcs.pairs(0, f_hat)
     model = FactorModel(
         specific_risk=nu * target.specific_risk,
         loadings=np.hstack([nu[:, None] * target.loadings, kept.w]),

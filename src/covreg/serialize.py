@@ -19,7 +19,7 @@ import json
 
 import numpy as np
 
-from .covariance import SpectralDecomposition
+from .covariance import QUASI_NULL_REL, LowRank
 from .errors import NumericalError, ParseError
 from .factors import FactorModel
 from .panels import csv_rows, parse_cells
@@ -70,13 +70,16 @@ def matrix_to_json_dict(m: np.ndarray) -> dict:
     return {"n": m.shape[0], "data": m}
 
 
-def spectral_to_json_dict(s: SpectralDecomposition) -> dict:
+def spectral_to_json_dict(pcs: LowRank) -> dict:
+    """spectral_decompose's pairs, one PC per row, with the threshold they were cut at."""
+    n, f = pcs.w.shape
     return {
-        "n": s.n_assets,
-        "n_positive": s.n_positive,
-        "eigenvalues": s.eigenvalues,
-        "components": s.components,
-        "quasi_null_threshold": s.quasi_null_threshold,
+        "n": n,
+        "n_positive": f,
+        "eigenvalues": pcs.s,
+        "components": pcs.w.T,
+        # lambda_max is kept whenever it is > 0, and the threshold is 0 otherwise
+        "quasi_null_threshold": QUASI_NULL_REL * (pcs.s[0] if f else 0.0),
     }
 
 

@@ -69,7 +69,7 @@ def test_criterion_2_rank_bound():
         m = t - 1
         scm = _random_scm(rng, n, t)
         spectral = cr.spectral_decompose(scm)
-        assert spectral.n_positive <= m, (n, m, spectral.n_positive)
+        assert spectral.s.shape[0] <= m, (n, m, spectral.s.shape[0])
     elapsed = time.time() - start
     assert elapsed < 5
     _report(f"criterion 2: rank bound on 20 singular SCMs ({elapsed:.1f}s)")
@@ -85,7 +85,7 @@ def test_criterion_3_diagonal_preservation():
         spectral = cr.spectral_decompose(scm)
         target = (cr.diagonal_target(scm) if trial % 2 == 0
                   else cr.constant_correlation_target(scm, cr.estimate_rho(scm)))
-        f = spectral.n_positive
+        f = spectral.s.shape[0]
         for f_hat in sorted({0, min(1, f), f // 2, f}):
             model, _ = cr.truncated_pc_model(scm, spectral, target, f_hat)
             d = cr.dense(model)

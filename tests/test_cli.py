@@ -70,6 +70,21 @@ def test_spectral_from_matrix(panel_path, tmp_path, capsys):
     assert payload["eigenvalues"] == sorted(payload["eigenvalues"], reverse=True)
 
 
+@pytest.mark.parametrize("matrix, n_positive", [
+    ("2,1,0\n1,2,0\n0,0,1\n", 3), ("1,2\n2,4\n", 1), ("0,0,0\n0,0,0\n0,0,0\n", 0),
+], ids=["full_rank", "rank_one", "zero"])
+def test_spectral_threshold_follows_the_largest_eigenvalue(tmp_path, capsys, matrix, n_positive):
+    mat = tmp_path / "m.csv"
+    mat.write_text(matrix)
+    code, out, _ = run(capsys, "spectral", "-i", str(mat))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["n_positive"] == n_positive == len(payload["eigenvalues"])
+    expected = 1e-10 * payload["eigenvalues"][0] if n_positive else 0.0
+    assert payload["quasi_null_threshold"] == expected
+    assert len(payload["components"]) == n_positive * payload["n"]
+
+
 def test_shrink_q0_equals_scm_byte_for_byte(panel_path, capsys):
     _, scm_out, _ = run(capsys, "scm", "-i", panel_path)
     _, shrink_out, _ = run(
@@ -250,6 +265,29 @@ def test_method_f_hat_and_rho_checked_before_the_input_is_read(tmp_path, capsys,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["truncate", "--f-hat", "1", "--rho", "0.5"],
+     "rho applies only to the constant_correlation target, not diagonal"),
+    (["shrink", "--q", "0.5", "--rho", "0.5", "--target", "diagonal"],
+     "rho applies only to the constant_correlation target, not diagonal"),
+    (["truncate", "--f-hat", "1", "--rho", "7", "--target", "constant_correlation"],
+     "rho must be in [0, 1), got 7.0"),
+    (["shrink", "--q", "0.5", "--rho", "-0.1", "--target", "constant_correlation"],
+     "rho must be in [0, 1), got -0.1"),
+], ids=["truncate_diagonal", "shrink_diagonal", "truncate_range", "shrink_range"])
+def test_cli_rho_checked_before_the_input_is_read(tmp_path, capsys, argv, message):
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run(capsys, *argv, "-i", missing)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["shrink", "--q", "0.5"], ["truncate", "--f-hat", "1"]])
+def test_cli_rho_auto_accepted_with_the_diagonal_target(panel_path, capsys, argv):
+    _, default, _ = run(capsys, *argv, "-i", panel_path, "--json")
+    code, auto, _ = run(capsys, *argv, "-i", panel_path, "--rho", "auto", "--json")
+    assert code == 0 and auto == default
+
+
 def test_methods_differing_only_in_rho_get_distinct_labels(eval_panel_path, capsys):
     spec = "shrink,q=0.5,target=constant_correlation"
     code, out, _ = run(capsys, "eval", "-i", eval_panel_path, "--method", spec + ",rho=0.1",
@@ -385,6 +423,27 @@ def test_eval_scm_ridge_label_shows_fitted_q(eval_panel_path, capsys):
                        "--method", "scm_ridge", "--json")
     assert code == 0
     assert json.loads(out)["records"][0]["label"] == "scm+ridge(q=0.01)"
+
+
+def test_eval_table_columns_line_up_under_the_header(eval_panel_path, capsys):
+    labels = ["scm+ridge(q=0.01)", "truncated_pc(f_hat=1,constant_correlation,rho=0.25)",
+              "shrink(q=0.5,diagonal)"]
+    methods = ["scm_ridge", "truncated_pc,f_hat=1,target=constant_correlation,rho=0.25",
+               "shrink,q=0.5"]
+    code, out, _ = run(capsys, "eval", "-i", eval_panel_path,
+                       *[a for m in methods for a in ("--method", m)])
+    assert code == 0
+    header, rule, *rows = out.rstrip("\n").split("\n")
+    assert rule == "-" * len(header)
+    width = len(header) - 3 * 13  # the label column, then three 12-wide numbers
+    assert header[:width].rstrip() == "method"
+    for row, label in zip(rows, labels, strict=True):
+        assert len(row) == len(header), row
+        assert row[:width].rstrip() == label
+        for name in ("in_err", "out_err", "real_var"):
+            right = header.index(name) + len(name)  # each number ends under its header
+            assert row[right - 13] == " " and row[right - 12:right].strip() and (
+                right == len(row) or row[right] == " "), (row, name)
 
 
 VALUE = st.one_of(

@@ -4,6 +4,7 @@ import pytest
 import covreg as cr
 from covreg.covariance import LowRank, SampleCovariance, spectral_decompose
 from covreg.errors import NegativeEigenvalueError, ValidationError, ZeroVarianceAsset
+from covreg.serialize import spectral_to_json_dict
 
 from conftest import (brute_force_covariance, brute_force_low_rank, collinear_rows,
                       near_duplicate_rows, one_factor_rows, random_panel, random_scm,
@@ -63,49 +64,64 @@ class TestSpectralDecompose:
     def test_rank_one_2x2(self):
         scm = SampleCovariance.from_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         sd = spectral_decompose(scm)
-        assert sd.n_positive == 1
-        np.testing.assert_allclose(sd.eigenvalues, [2.0])
+        assert sd.s.shape[0] == 1
+        np.testing.assert_allclose(sd.s, [2.0])
         s = 1 / np.sqrt(2)
-        np.testing.assert_allclose(sd.components[0], [s, -s], atol=1e-12)
+        np.testing.assert_allclose(sd.w[:, 0], [s, -s], atol=1e-12)
 
     def test_identity(self):
         sd = spectral_decompose(SampleCovariance.from_matrix(np.eye(3)))
-        np.testing.assert_allclose(sd.eigenvalues, [1.0, 1.0, 1.0])
-        np.testing.assert_allclose(sd.reconstruct(), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(sd.s, [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(brute_force_low_rank(sd.w, sd.s), np.eye(3), atol=1e-12)
 
     def test_rank_bound_short_panel(self, rng):
         # 10 assets, 6 observations: rank at most M = 5
         sd = spectral_decompose(random_scm(rng, 10, 6))
-        assert sd.n_positive <= 5
+        assert sd.s.shape[0] <= 5
 
     def test_reconstruction(self, rng):
         scm = random_scm(rng, 8, 40)
         sd = spectral_decompose(scm)
-        err = np.linalg.norm(sd.reconstruct() - scm.c)
+        err = np.linalg.norm(brute_force_low_rank(sd.w, sd.s) - scm.c)
         assert err <= 1e-8 * np.linalg.norm(scm.c)
 
     def test_orthonormal_components(self, rng):
         sd = spectral_decompose(random_scm(rng, 9, 30))
-        gram = sd.components @ sd.components.T
-        assert np.abs(gram - np.eye(sd.n_positive)).max() <= 1e-9
+        gram = sd.w.T @ sd.w
+        assert np.abs(gram - np.eye(sd.s.shape[0])).max() <= 1e-9
 
     def test_trace_preserved(self, rng):
         scm = random_scm(rng, 7, 50)
         sd = spectral_decompose(scm)
         trace = np.trace(scm.c)
-        assert abs(sd.eigenvalues.sum() - trace) <= 1e-8 * trace
+        assert abs(sd.s.sum() - trace) <= 1e-8 * trace
 
     def test_sign_convention(self, rng):
         sd = spectral_decompose(random_scm(rng, 6, 20))
-        for row in sd.components:
+        for row in sd.w.T:
             assert row[np.argmax(np.abs(row))] > 0
 
     def test_deterministic(self, rng):
         scm = random_scm(rng, 6, 20)
         a = spectral_decompose(scm)
         b = spectral_decompose(scm)
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert np.array_equal(a.components, b.components)
+        assert np.array_equal(a.s, b.s)
+        assert np.array_equal(a.w, b.w)
+
+    @pytest.mark.parametrize("n, t", [(12, 5), (5, 12)], ids=["wide", "tall"])
+    def test_returns_read_only_low_rank(self, rng, n, t):
+        sd = spectral_decompose(random_scm(rng, n, t))
+        assert isinstance(sd, LowRank)
+        assert sd.w.shape == (n, sd.s.shape[0])
+        for a in (sd.w, sd.s):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert np.all(sd.s > 0) and np.all(np.diff(sd.s) <= 0)
+
+    def test_zero_matrix_has_no_pairs(self):
+        sd = spectral_decompose(SampleCovariance.from_matrix(np.zeros((3, 3))))
+        assert sd.w.shape == (3, 0) and sd.s.shape == (0,)
 
     def test_non_psd_input_rejected(self):
         bad = SampleCovariance.from_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -118,7 +134,7 @@ class TestSpectralDecompose:
         a = spectral_decompose(cr.sample_covariance(x))
         scaled = cr.ReturnsPanel(x.returns * 1e-6, x.asset_ids)
         b = spectral_decompose(cr.sample_covariance(scaled))
-        assert a.n_positive == b.n_positive
+        assert a.s.shape[0] == b.s.shape[0]
 
 
 class TestPanelRoot:
@@ -178,6 +194,18 @@ class TestLowRank:
         given = rng.uniform(size=5)
         assert LowRank(rng.standard_normal((5, 2)), np.ones(2), given).h is given
 
+    @pytest.mark.parametrize("r", [0, 1, 4])
+    def test_pairs(self, rng, r):
+        w, s = rng.standard_normal((7, r)), rng.uniform(0.1, 2.0, r)
+        whole = brute_force_low_rank(w, s)
+        for k in range(r + 1):
+            head, tail = LowRank(w, s).pairs(0, k), LowRank(w, s).pairs(k)
+            assert head.w.shape == (7, k) and tail.w.shape == (7, r - k)
+            np.testing.assert_array_equal(np.concatenate([head.s, tail.s]), s)
+            np.testing.assert_allclose(
+                brute_force_low_rank(head.w, head.s) + brute_force_low_rank(tail.w, tail.s),
+                whole, rtol=0, atol=1e-14 * max(1.0, np.abs(whole).max()))
+
     @pytest.mark.parametrize("make", [lambda rng: rng.standard_normal((12, 5)),
                                       lambda rng: one_factor_rows(rng, 9, 30)],
                              ids=["wide", "tall"])
@@ -185,15 +213,20 @@ class TestLowRank:
         x = panel_from(make(rng))
         spectral = spectral_decompose(cr.sample_covariance(x))
         c = brute_force_covariance(cr.demean(x))
-        f = spectral.n_positive
+        f = spectral.s.shape[0]
         for k in range(f + 1):
             kept, dropped = spectral.pairs(0, k), spectral.pairs(k)
-            np.testing.assert_array_equal(kept.w, spectral.components[:k].T)
-            np.testing.assert_array_equal(dropped.s, spectral.eigenvalues[k:])
+            np.testing.assert_array_equal(kept.w, spectral.w[:, :k])
+            np.testing.assert_array_equal(dropped.s, spectral.s[k:])
             assert dropped.w.shape == (x.n_assets, f - k)
             # the dropped-PC diagonal is C_ii minus the kept part
             oracle = np.diag(c - brute_force_low_rank(kept.w, kept.s))
             np.testing.assert_allclose(dropped.h, oracle, rtol=0, atol=1e-12 * c.max())
+
+
+def test_from_matrix_non_square_rejected():
+    with pytest.raises(ValidationError, match="covariance must be square"):
+        SampleCovariance.from_matrix(np.ones((2, 3)))
 
 
 def test_asymmetric_matrix_rejected():
@@ -228,18 +261,21 @@ class TestThinSvdPath:
         assert spectral_route(monkeypatch, scm) == "svd"
         svd = spectral_decompose(scm)
         eigh = spectral_decompose(SampleCovariance(c=scm.c, n_obs_minus_one=scm.n_obs_minus_one))
-        lam_max = eigh.eigenvalues[0]
-        assert svd.n_positive == eigh.n_positive <= x.n_obs - 1
-        assert svd.quasi_null_threshold == pytest.approx(eigh.quasi_null_threshold, rel=1e-12)
-        assert np.abs(svd.eigenvalues - eigh.eigenvalues).max() <= 1e-12 * lam_max
-        gram = svd.components @ svd.components.T
-        assert np.abs(gram - np.eye(svd.n_positive)).max() <= 1e-12
-        for row in svd.components:
+        lam_max = eigh.s[0]
+        assert svd.s.shape[0] == eigh.s.shape[0] <= x.n_obs - 1
+        threshold = [spectral_to_json_dict(sd)["quasi_null_threshold"] for sd in (svd, eigh)]
+        assert threshold[0] == pytest.approx(threshold[1], rel=1e-12)
+        assert np.abs(svd.s - eigh.s).max() <= 1e-12 * lam_max
+        gram = svd.w.T @ svd.w
+        assert np.abs(gram - np.eye(svd.s.shape[0])).max() <= 1e-12
+        for row in svd.w.T:
             assert row[np.argmax(np.abs(row))] > 0
         if x.n_assets <= 20:
             np.testing.assert_allclose(
-                svd.reconstruct(), brute_force_covariance(cr.demean(x)), rtol=0, atol=1e-12
+                brute_force_low_rank(svd.w, svd.s), brute_force_covariance(cr.demean(x)),
+                rtol=0, atol=1e-12
             )
         else:
-            err = np.linalg.norm(svd.reconstruct() - scm.c)
+            # the loop oracle is O(N^2 F) Python steps, too slow at N = 1000-2000
+            err = np.linalg.norm((svd.w * svd.s) @ svd.w.T - scm.c)
             assert err <= 1e-12 * np.linalg.norm(scm.c)

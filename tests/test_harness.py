@@ -395,7 +395,7 @@ class TestGramRecords:
         methods = [MethodConfig(kind="shrink", q=q, target_kind=kind)
                    for kind in TARGET_KINDS for q in (1e-6, 0.01, 0.5, 1.0)]
         methods += [MethodConfig(kind="truncated_pc", f_hat=f, target_kind=kind)
-                    for kind in TARGET_KINDS for f in (1, spectral.n_positive - 1)]
+                    for kind in TARGET_KINDS for f in (1, spectral.s.shape[0] - 1)]
         report = cr.stability_experiment(panel, 0.5, methods, truth=truth)
         targets = {kind: build_target(scm_train, kind) for kind in TARGET_KINDS}
         gaps = {kind: offdiag_norm(dense(t) - scm_train.c) for kind, t in targets.items()}
@@ -418,7 +418,7 @@ class TestGramRecords:
     def test_leading_pc_matches_full_decomposition(self, rng, n, t):
         panel = cr.ReturnsPanel(one_factor_rows(rng, n, t), tuple(f"A{i}" for i in range(n)))
         _, _, _, _, scm_test = harness._split_scms(panel, 0.5)
-        full = spectral_decompose(scm_test).components[0]
+        full = spectral_decompose(scm_test).w[:, 0]
         v = harness._leading_pc(scm_test)
         assert min(np.abs(v - full).max(), np.abs(v + full).max()) <= PC_REL
 
@@ -499,6 +499,10 @@ class TestMethodConfig:
         assert cfg.q == 0.01
         assert cfg.label == "scm+ridge(q=0.01)"
         assert MethodConfig(kind="scm_ridge", q=0.05).label == "scm+ridge(q=0.05)"
+        cc = dict(kind="scm_ridge", target_kind="constant_correlation")
+        assert MethodConfig(**cc).label == "scm+ridge(q=0.01,constant_correlation)"
+        assert (MethodConfig(**cc, rho=0.2).label
+                == "scm+ridge(q=0.01,constant_correlation,rho=0.2)")
         panel = cr.generate_panel(cr.SyntheticSpec(n_assets=6, n_obs=30, seed=9))
         ridge, shrink = cr.stability_experiment(
             panel, 0.5, [cfg, MethodConfig(kind="shrink", q=0.01)]

@@ -209,11 +209,11 @@ class TestShrinkAsFactorModel:
         q = 0.3
         spectral = cr.spectral_decompose(scm)
         fcm = cr.shrink_as_factor_model(spectral, target, q).fcm
-        k, f = target.n_factors, spectral.n_positive
+        k, f = target.n_factors, spectral.s.shape[0]
         assert fcm.shape == (k + f, k + f)
         np.testing.assert_array_equal(fcm[:k, :k], q * target.fcm)
         np.testing.assert_array_equal(
-            fcm[k:, k:], np.diag((1 - q) * spectral.eigenvalues)
+            fcm[k:, k:], np.diag((1 - q) * spectral.s)
         )
         assert np.all(fcm[:k, k:] == 0.0) and np.all(fcm[k:, :k] == 0.0)
 
@@ -233,7 +233,7 @@ class TestTruncatedPC:
         scm = random_scm(rng, 6, 4)  # singular: quasi-nulls must not matter
         spectral = cr.spectral_decompose(scm)
         model, nu = cr.truncated_pc_model(
-            scm, spectral, cr.diagonal_target(scm), spectral.n_positive
+            scm, spectral, cr.diagonal_target(scm), spectral.s.shape[0]
         )
         np.testing.assert_array_equal(nu, np.zeros(6))
         np.testing.assert_allclose(cr.dense(model), scm.c, atol=1e-10)
@@ -265,7 +265,7 @@ class TestTruncatedPC:
     def test_nu_non_negative(self, rng):
         scm = random_scm(rng, 7, 5)
         spectral = cr.spectral_decompose(scm)
-        for f_hat in range(spectral.n_positive + 1):
+        for f_hat in range(spectral.s.shape[0] + 1):
             _, nu = cr.truncated_pc_model(
                 scm, spectral, cr.diagonal_target(scm), f_hat
             )
@@ -275,7 +275,7 @@ class TestTruncatedPC:
         scm = random_scm(rng, 6, 4)
         spectral = cr.spectral_decompose(scm)
         target = random_matched_target(rng, scm, 2)
-        for f_hat in (0, 1, spectral.n_positive):
+        for f_hat in (0, 1, spectral.s.shape[0]):
             d = cr.dense(cr.truncated_pc_model(scm, spectral, target, f_hat)[0])
             assert np.linalg.eigvalsh(d).min() >= -1e-9 * np.abs(d).max()
 
@@ -284,7 +284,7 @@ class TestTruncatedPC:
         spectral = cr.spectral_decompose(scm)
         with pytest.raises(FhatOutOfRange):
             cr.truncated_pc_model(
-                scm, spectral, cr.diagonal_target(scm), spectral.n_positive + 1
+                scm, spectral, cr.diagonal_target(scm), spectral.s.shape[0] + 1
             )
         for f_hat in (-1, 1.5, 1.0):
             with pytest.raises(FhatOutOfRange):
