@@ -48,13 +48,6 @@ def _rho(text: str) -> float | None:
     return None if text == "auto" else _number(float, text, "rho")
 
 
-def _target_rho(args) -> float | None:
-    """--rho, checked against --target as MethodConfig checks it, before any input is read."""
-    rho = _rho(args.rho)
-    regularizers._require_target_rho(args.target, rho)
-    return rho
-
-
 def _emit(dense_out, model_json: dict, args) -> None:
     """Dense matrix plus factor model: one JSON object, or CSV + stderr JSON."""
     if args.json:
@@ -80,23 +73,16 @@ def _cmd_spectral(args) -> None:
     _write(args.output, serialize.dumps(serialize.spectral_to_json_dict(pcs)), "\n")
 
 
-def _cmd_shrink(args) -> None:
-    rho = _target_rho(args)
+def _cmd_fit(args) -> None:
+    """shrink or truncate: the flags as a MethodConfig, checked before the input is read."""
+    cfg = harness.MethodConfig(args.kind, args.q, args.f_hat, args.target, _rho(args.rho))
     scm = _load_scm(args)
-    pcs = spectral_decompose(scm)
-    target = regularizers.build_target(scm, args.target, rho)
-    dense_out = regularizers.shrink_dense(scm, target, args.q)
-    model = regularizers.shrink_as_factor_model(pcs, target, args.q)
-    _emit(dense_out, serialize.shrunk_to_json_dict(model, args.q), args)
-
-
-def _cmd_truncate(args) -> None:
-    rho = _target_rho(args)
-    scm = _load_scm(args)
-    pcs = spectral_decompose(scm)
-    target = regularizers.build_target(scm, args.target, rho)
-    model, nu = regularizers.truncated_pc_model(scm, pcs, target, args.f_hat)
-    _emit(dense(model), serialize.truncated_to_json_dict(model, args.f_hat, nu), args)
+    model, target, nu = harness.fit_method(scm, spectral_decompose(scm), cfg)
+    if nu is None:
+        _emit(regularizers.shrink_dense(scm, target, cfg.q),
+              serialize.shrunk_to_json_dict(model, cfg.q), args)
+    else:
+        _emit(dense(model), serialize.truncated_to_json_dict(model, cfg.f_hat, nu), args)
 
 
 METHOD_KEYS = ("q", "f_hat", "target", "rho")
@@ -185,14 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p, matrix_ok=True)
     add_target(p)
     p.add_argument("--q", type=float, required=True, help="shrinkage constant in [0,1]")
-    p.set_defaults(func=_cmd_shrink)
+    p.set_defaults(func=_cmd_fit, kind="shrink", f_hat=0)
 
     p = sub.add_parser("truncate", help="truncated-PC regularizer")
     add_io(p, matrix_ok=True)
     add_target(p)
     p.add_argument("--f-hat", type=int, required=True, dest="f_hat",
                    help="number of principal components kept")
-    p.set_defaults(func=_cmd_truncate)
+    p.set_defaults(func=_cmd_fit, kind="truncated_pc", q=0.0)
 
     p = sub.add_parser("eval", help="train/test stability comparison")
     add_io(p)

@@ -70,7 +70,7 @@ class SampleCovariance:
             if np.any(self.variances == 0):
                 raise ZeroVarianceAsset("asset with zero sample variance")
             return
-        c = np.asarray(c, dtype=float)
+        c = np.array(c, dtype=float)  # a copy: the caller's c stays writeable
         c.setflags(write=False)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValidationError("covariance must be square")

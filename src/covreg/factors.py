@@ -30,9 +30,10 @@ class FactorModel:
     fcm: np.ndarray
 
     def __post_init__(self):
-        xi = np.atleast_1d(np.asarray(self.specific_risk, dtype=float))
-        omega = np.asarray(self.loadings, dtype=float)
-        phi = np.asarray(self.fcm, dtype=float)
+        # copies, so freezing them leaves the caller's arrays writeable
+        xi = np.atleast_1d(np.array(self.specific_risk, dtype=float))
+        omega = np.array(self.loadings, dtype=float)
+        phi = np.array(self.fcm, dtype=float)
         if omega.ndim != 2 or phi.ndim != 2:
             raise ValidationError("loadings and fcm must be 2-D")
         for a in (xi, omega, phi):

@@ -143,15 +143,15 @@ def bai_yin_check(n: int, m: int, trials: int, seed: int) -> BaiYinReport:
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """One estimator entry for the stability comparison.
+    """The one method spec: an `eval --method` entry or the `shrink`/`truncate` flags.
 
-    kind: "scm_ridge" (shrink with a small q, 0.01 when q is left at 0:
-    the stand-in for raw SCM when inversion is required), "shrink", or
-    "truncated_pc". rho applies to the constant-correlation target only,
-    in [0, 1), and may be None for "auto"; a given rho shows in the label.
-    q must be in [0, 1], as for shrinkage, and f_hat an int >= 0 (its
-    upper bound needs the spectrum). InvalidSpec, RhoOutOfRange or
-    FhatOutOfRange otherwise.
+    fit_method fits it. kind: "scm_ridge" (shrink with a small q, 0.01
+    when q is left at 0: the stand-in for raw SCM when inversion is
+    required), "shrink", or "truncated_pc". rho applies to the
+    constant-correlation target only, in [0, 1), and may be None for
+    "auto"; a given rho shows in the label. q must be in [0, 1], as for
+    shrinkage, and f_hat an int >= 0 (its upper bound needs the
+    spectrum). InvalidSpec, RhoOutOfRange or FhatOutOfRange otherwise.
     """
 
     kind: str
@@ -183,27 +183,19 @@ class MethodConfig:
         return f"truncated_pc(f_hat={self.f_hat},{self.target_kind}{rho})"
 
 
-def estimate_method(scm: SampleCovariance, pcs: LowRank,
-                    cfg: MethodConfig) -> tuple[FactorModel, list, list]:
-    """Fit one method on an SCM and its pairs pcs = spectral_decompose(scm).
+def fit_method(scm: SampleCovariance, pcs: LowRank,
+               cfg: MethodConfig) -> tuple[FactorModel, FactorModel, np.ndarray | None]:
+    """(model, target, nu): cfg fitted on an SCM and its pairs pcs = spectral_decompose(scm).
 
-    Returns (factor model, fit, in_sample): lists of (coefficient, basis)
-    terms for _OffdiagGram whose sums have the off-diagonal of the fitted
-    matrix and of its difference from C. The difference keeps only the
-    terms that do not cancel: q (T - C) for shrink, the nu-rescaled
-    target minus the dropped-PC part for truncated-PC. The target is
-    checked against scm as in regularizers; q must be in [0, 1].
+    The target is build_target's for cfg and must match scm as in
+    regularizers; nu is truncated_pc_model's rescaling, None for shrinkage.
     """
     target = build_target(scm, cfg.target_kind, cfg.rho)
-    loading, f, q = target.factor, cfg.f_hat, cfg.q
     if cfg.kind == "truncated_pc":
-        model, nu = truncated_pc_model(scm, pcs, target, f)
-        rescaled = LowRank(nu[:, None] * loading.w, loading.s)
-        return (model, [(1.0, rescaled), (1.0, pcs.pairs(0, f))],
-                [(1.0, rescaled), (-1.0, pcs.pairs(f))])
+        model, nu = truncated_pc_model(scm, pcs, target, cfg.f_hat)
+        return model, target, nu
     _require_matched_target(scm, target)
-    return (shrink_as_factor_model(pcs, target, q),
-            [(q, loading), (1.0 - q, scm.root)], [(q, loading), (-q, scm.root)])
+    return shrink_as_factor_model(pcs, target, cfg.q), target, None
 
 
 @dataclass(frozen=True)
@@ -367,7 +359,18 @@ def stability_experiment(
     gram = _OffdiagGram()
     records = []
     for cfg in methods:
-        model, fit, in_sample = estimate_method(scm_train, pcs_train, cfg)
+        model, target, nu = fit_method(scm_train, pcs_train, cfg)
+        # (coefficient, basis) terms with the off-diagonal of the fit and of the fit
+        # minus C, whose terms that cancel are left out: q (T - C) for shrink, the
+        # nu-rescaled target minus the dropped PCs for truncated-PC
+        loading, f, q = target.factor, cfg.f_hat, cfg.q
+        if nu is None:
+            fit = [(q, loading), (1.0 - q, scm_train.root)]
+            in_sample = [(q, loading), (-q, scm_train.root)]
+        else:
+            rescaled = LowRank(nu[:, None] * loading.w, loading.s)
+            fit = [(1.0, rescaled), (1.0, pcs_train.pairs(0, f))]
+            in_sample = [(1.0, rescaled), (-1.0, pcs_train.pairs(f))]
         try:
             realized = scm_test.quadratic_form(min_variance_weights(model))
         except (SingularSpecificRisk, IllConditioned):

@@ -93,8 +93,9 @@ def build_target(scm: SampleCovariance, kind: str, rho: float | None = None
                  ) -> FactorModel:
     """Target named kind (one of TARGET_KINDS) for scm.
 
-    rho applies to the constant-correlation target; None estimates it.
+    rho applies to the constant-correlation target only; None estimates it.
     """
+    _require_target_rho(kind, rho)
     if kind == "diagonal":
         return diagonal_target(scm)
     if kind == "constant_correlation":

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covreg as cr
+from covreg import harness, serialize
 from covreg.cli import METHOD_KEYS, main
 from covreg.errors import ParseError
 from covreg.serialize import factor_model_from_json_dict, matrix_from_csv
@@ -274,11 +275,32 @@ def test_method_f_hat_and_rho_checked_before_the_input_is_read(tmp_path, capsys,
      "rho must be in [0, 1), got 7.0"),
     (["shrink", "--q", "0.5", "--rho", "-0.1", "--target", "constant_correlation"],
      "rho must be in [0, 1), got -0.1"),
-], ids=["truncate_diagonal", "shrink_diagonal", "truncate_range", "shrink_range"])
+    (["shrink", "--q", "1.5"], "q must be in [0, 1], got 1.5"),
+    (["truncate", "--f-hat", "-1"], "f_hat must be an int >= 0, got -1"),
+], ids=["truncate_diagonal", "shrink_diagonal", "truncate_range", "shrink_range",
+        "shrink_q", "truncate_f_hat"])
 def test_cli_rho_checked_before_the_input_is_read(tmp_path, capsys, argv, message):
+    # q and f_hat too: the flags form a MethodConfig, checked as eval checks its methods
     missing = str(tmp_path / "missing.csv")
     code, out, err = run(capsys, *argv, "-i", missing)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["shrink", "--q", "0.3", "--target", "constant_correlation"],
+     harness.MethodConfig("shrink", q=0.3, target_kind="constant_correlation")),
+    (["truncate", "--f-hat", "1", "--target", "constant_correlation", "--rho", "0.2"],
+     harness.MethodConfig("truncated_pc", f_hat=1, target_kind="constant_correlation",
+                          rho=0.2)),
+], ids=["shrink", "truncate"])
+def test_cli_factor_model_is_fit_methods(eval_panel_path, capsys, argv, cfg):
+    # without --json the factor model is the whole of stderr
+    code, _, err = run(capsys, *argv, "-i", eval_panel_path)
+    scm = cr.sample_covariance(cr.load_panel(eval_panel_path))
+    model, _, nu = harness.fit_method(scm, cr.spectral_decompose(scm), cfg)
+    expected = (serialize.shrunk_to_json_dict(model, cfg.q) if nu is None
+                else serialize.truncated_to_json_dict(model, cfg.f_hat, nu))
+    assert (code, err) == (0, serialize.dumps(expected) + "\n")
 
 
 @pytest.mark.parametrize("argv", [["shrink", "--q", "0.5"], ["truncate", "--f-hat", "1"]])

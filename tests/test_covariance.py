@@ -39,6 +39,15 @@ class TestSampleCovariance:
         scm = random_scm(rng, 12, 7)
         assert np.array_equal(scm.c, scm.c.T)
 
+    def test_callers_matrix_stays_writeable(self):
+        a = np.array([[2.0, 0.5], [0.5, 1.0]])
+        scm = SampleCovariance(c=a, n_obs_minus_one=3)
+        assert a.flags.writeable
+        a[...] = 7.0
+        np.testing.assert_array_equal(scm.c, [[2.0, 0.5], [0.5, 1.0]])
+        np.testing.assert_array_equal(scm.variances, [2.0, 1.0])
+        assert not scm.c.flags.writeable
+
     def test_zero_variance_asset_rejected(self):
         with pytest.raises(ZeroVarianceAsset):
             cr.sample_covariance(panel_from([[5, 5, 5], [1, 2, 3]]))

@@ -288,6 +288,16 @@ class TestValidation:
         near = np.ldexp([[1.0, 0.5], [0.5 * (1 + 1e-14), 1.0]], k)
         FactorModel(specific_risk=[1.0, 1.0], loadings=np.eye(2), fcm=near)
 
+    def test_callers_arrays_stay_writeable(self, rng):
+        xi, omega, phi = rng.uniform(0.5, 1.0, 4), rng.standard_normal((4, 2)), np.eye(2)
+        model = FactorModel(specific_risk=xi, loadings=omega, fcm=phi)
+        before = cr.dense(model)
+        for a in (xi, omega, phi):
+            assert a.flags.writeable
+            a[...] = 7.0
+        np.testing.assert_array_equal(cr.dense(model), before)
+        assert not model.loadings.flags.writeable
+
 
 def test_json_round_trip(rng):
     model = random_pd_model(rng, 4, 2)

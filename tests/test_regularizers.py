@@ -6,6 +6,7 @@ from covreg.covariance import SampleCovariance
 from covreg.errors import (
     DiagonalMismatch,
     FhatOutOfRange,
+    InvalidSpec,
     RhoOutOfRange,
     ValidationError,
 )
@@ -78,6 +79,9 @@ class TestTargets:
             )
         with pytest.raises(ValidationError):
             cr.build_target(scm, "bogus")
+        # a given rho needs the constant_correlation target, as MethodConfig checks it
+        with pytest.raises(InvalidSpec, match="rho applies only"):
+            cr.build_target(scm, "diagonal", 0.5)
 
     def test_rho_out_of_range(self):
         with pytest.raises(RhoOutOfRange):
