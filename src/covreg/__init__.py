@@ -9,6 +9,7 @@ regularizer that preserves the diagonal via per-asset rescaling.
 from .covariance import (
     LowRank,
     SampleCovariance,
+    root_pcs,
     sample_covariance,
     spectral_decompose,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "load_panel",
     "loads_panel",
     "min_variance_weights",
+    "root_pcs",
     "sample_covariance",
     "shrink_as_factor_model",
     "shrink_dense",

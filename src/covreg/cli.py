@@ -75,7 +75,8 @@ def _cmd_spectral(args) -> None:
 
 def _cmd_fit(args) -> None:
     """shrink or truncate: the flags as a MethodConfig, checked before the input is read."""
-    cfg = harness.MethodConfig(args.kind, args.q, args.f_hat, args.target, _rho(args.rho))
+    cfg = harness.MethodConfig(args.kind, _number(float, args.q, "q"),
+                               _number(int, args.f_hat, "f_hat"), args.target, _rho(args.rho))
     scm = _load_scm(args)
     model, target, nu = harness.fit_method(scm, spectral_decompose(scm), cfg)
     if nu is None:
@@ -118,8 +119,9 @@ def _parse_methods(specs: list[str]) -> list[harness.MethodConfig]:
 
 def _cmd_eval(args) -> None:
     methods = _parse_methods(args.method)
+    split = _number(float, args.split, "split")
     panel = load_panel(args.input, header=not args.no_header)
-    report = harness.stability_experiment(panel, args.split, methods)
+    report = harness.stability_experiment(panel, split, methods)
     if args.json:
         _write(args.output, serialize.dumps(report.to_json_dict()), "\n")
     else:
@@ -170,19 +172,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shrink", help="shrink toward a target; dense + factor form")
     add_io(p, matrix_ok=True)
     add_target(p)
-    p.add_argument("--q", type=float, required=True, help="shrinkage constant in [0,1]")
-    p.set_defaults(func=_cmd_fit, kind="shrink", f_hat=0)
+    p.add_argument("--q", required=True, help="shrinkage constant in [0,1]")
+    p.set_defaults(func=_cmd_fit, kind="shrink", f_hat="0")
 
     p = sub.add_parser("truncate", help="truncated-PC regularizer")
     add_io(p, matrix_ok=True)
     add_target(p)
-    p.add_argument("--f-hat", type=int, required=True, dest="f_hat",
+    p.add_argument("--f-hat", required=True, dest="f_hat",
                    help="number of principal components kept")
-    p.set_defaults(func=_cmd_fit, kind="truncated_pc", q=0.0)
+    p.set_defaults(func=_cmd_fit, kind="truncated_pc", q="0")
 
     p = sub.add_parser("eval", help="train/test stability comparison")
     add_io(p)
-    p.add_argument("--split", type=float, default=0.5)
+    p.add_argument("--split", default="0.5")
     p.add_argument("--method", action="append", required=True,
                    help="e.g. shrink,q=0.5,target=diagonal or truncated_pc,f_hat=1"
                         " (repeatable)")

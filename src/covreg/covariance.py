@@ -6,8 +6,11 @@ treated as quasi-null: rounded to zero and dropped from the
 decomposition, so the retained count is the numerical rank.
 
 A panel's SCM keeps X and forms the dense C only when something reads
-it. A wide panel (T <= N/2 columns) is decomposed by a thin SVD of X in
-O(N T^2); any other SCM by an N x N eigh of C.
+it. spectral_decompose returns unit PCs and eigenvalues, as the CLI
+emits them: a wide panel (T <= N/2 columns) by a thin SVD of X in
+O(N T^2), any other SCM by an N x N eigh of C. root_pcs returns the
+same pairs in root coordinates, from one eigh of the min(N, T) square
+Gram of the SCM's root; the fits take either.
 """
 
 from __future__ import annotations
@@ -179,3 +182,19 @@ def spectral_decompose(scm: SampleCovariance) -> LowRank:
     rows.setflags(write=False)
     evals.setflags(write=False)
     return LowRank(rows.T, evals)
+
+
+def root_pcs(scm: SampleCovariance) -> LowRank:
+    """The positive eigenpairs in root coordinates: LowRank(R U, 1/M), descending.
+
+    One eigh of the r x r Gram R^T R / M of R = scm.root.w (r = min(N, T)),
+    whose eigenvalues are C's; the quasi-null cut is spectral_decompose's.
+    Column j is R u_j = sqrt(M lambda_j) V_j, so pairs(start, stop) are
+    spectral_decompose's as matrices, and nothing is divided by a small
+    lambda. Needs x.
+    """
+    r, m = scm.root.w, scm.n_obs_minus_one
+    with np.errstate(over="ignore"):  # an overflow fails the finiteness check
+        evals, evecs = np.linalg.eigh(r.T @ r / m)
+    keep = evals > _quasi_null_threshold(evals)
+    return LowRank(r @ evecs[:, keep][:, ::-1], np.full(np.count_nonzero(keep), 1.0 / m))

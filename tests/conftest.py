@@ -108,14 +108,19 @@ def collinear_rows(rng, n, t):
     return base + 1e-3 * rng.standard_normal((n, t))
 
 
-def counting_linalg(monkeypatch, *names) -> list:
-    """Patch the named np.linalg functions to append their name to the returned list."""
+def counting_linalg(monkeypatch, *names, shapes=None) -> list:
+    """Patch the named np.linalg functions to append their name to the returned list.
+
+    A given shapes list also gets the shape of each call's first argument.
+    """
     calls = []
     for name in names:
         real = getattr(np.linalg, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
             calls.append(_name)
+            if shapes is not None:
+                shapes.append(np.shape(args[0]))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)

@@ -277,10 +277,17 @@ def test_method_f_hat_and_rho_checked_before_the_input_is_read(tmp_path, capsys,
      "rho must be in [0, 1), got -0.1"),
     (["shrink", "--q", "1.5"], "q must be in [0, 1], got 1.5"),
     (["truncate", "--f-hat", "-1"], "f_hat must be an int >= 0, got -1"),
+    (["shrink", "--q", "abc"], "q must be a number, got 'abc'"),
+    (["truncate", "--f-hat", "x"], "f_hat must be a number, got 'x'"),
+    (["truncate", "--f-hat", "1.5"], "f_hat must be a number, got '1.5'"),
+    (["eval", "--split", "abc", "--method", "shrink,q=0.5"],
+     "split must be a number, got 'abc'"),
 ], ids=["truncate_diagonal", "shrink_diagonal", "truncate_range", "shrink_range",
-        "shrink_q", "truncate_f_hat"])
+        "shrink_q", "truncate_f_hat", "shrink_q_word", "truncate_f_hat_word",
+        "truncate_f_hat_float", "eval_split_word"])
 def test_cli_rho_checked_before_the_input_is_read(tmp_path, capsys, argv, message):
-    # q and f_hat too: the flags form a MethodConfig, checked as eval checks its methods
+    # q, f_hat and split too: the flags are parsed as eval parses its methods, and
+    # shrink's and truncate's form a MethodConfig, checked as eval checks its methods
     missing = str(tmp_path / "missing.csv")
     code, out, err = run(capsys, *argv, "-i", missing)
     assert (code, out, err) == (2, "", f"error: {message}\n")

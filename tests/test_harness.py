@@ -7,7 +7,7 @@ import pytest
 
 import covreg as cr
 from covreg import factors, harness, regularizers
-from covreg.covariance import _quasi_null_threshold, spectral_decompose
+from covreg.covariance import _quasi_null_threshold, root_pcs, spectral_decompose
 from covreg.errors import (DimensionMismatch, FhatOutOfRange, InvalidSpec, RhoOutOfRange,
                            SplitTooSmall, ValidationError)
 from covreg.factors import dense
@@ -20,6 +20,9 @@ CLOSED_FORM_REL = 1e-12  # the expanded square rounds err^2 at eps (q||A|| + ||D
 RECORD_REL = 1e-11  # Gram-form records against dense direct norms
 IN_SAMPLE_REL = 1e-12  # shrink in-sample error against q ||offdiag(T - C_1)||
 PC_REL = 1e-12  # leading PC from the root's Gram against the full decomposition
+NU2_ABS = 1e-12  # truncated-PC nu^2 from root_pcs against spectral_decompose's
+ROUTE_REL = 1e-12  # records fitted from root_pcs against those from spectral_decompose
+SOLVE_REL = 1e-6  # the Woodbury solve of a model with condition number up to ~1e6
 
 GRID_PANELS = {
     "one_factor": lambda rng: one_factor_rows(rng, 200, 120),
@@ -354,13 +357,7 @@ class TestStability:
 
     @pytest.mark.parametrize("n_methods", [1, 4])
     def test_one_decomposition_per_segment(self, monkeypatch, n_methods):
-        calls = []
-
-        def counting(scm):
-            calls.append(scm)
-            return spectral_decompose(scm)
-
-        monkeypatch.setattr(harness, "spectral_decompose", counting)
+        # a tall panel: each segment's root is the N x N factor of a QR
         panel = cr.generate_panel(cr.SyntheticSpec(n_assets=6, n_obs=30, seed=9))
         methods = [
             MethodConfig(kind="shrink", q=0.5),
@@ -368,9 +365,31 @@ class TestStability:
             MethodConfig(kind="scm_ridge"),
             MethodConfig(kind="shrink", q=0.2, target_kind="constant_correlation"),
         ]
-        report = cr.stability_experiment(panel, 0.5, methods[:n_methods])
+        report = assert_one_gram_eigh_per_segment(monkeypatch, panel, methods[:n_methods])
         assert len(report.records) == n_methods
-        assert len(calls) == 1
+
+
+def assert_one_gram_eigh_per_segment(monkeypatch, panel, methods):
+    """grid_search_q decomposes nothing; stability_experiment takes no svd and
+    one eigh per segment, of a Gram at most min(N, T) square. Returns the report."""
+    shapes = []
+    calls = counting_linalg(monkeypatch, "svd", "eigh", shapes=shapes)
+    cr.grid_search_q(panel, "constant_correlation", [0.0, 0.5, 1.0], 0.5)
+    assert calls == []
+    report = cr.stability_experiment(panel, 0.5, methods)
+    assert calls == ["eigh", "eigh"]
+    n = panel.n_assets
+    limits = [min(n, report.n_train), min(n, report.n_test)]
+    assert all(a == b <= r for (a, b), r in zip(shapes, limits)), (shapes, limits)
+    return report
+
+
+def record_methods(f):
+    """Shrink at four q and truncated-PC at f_hat 1 and F - 1, on both targets."""
+    methods = [MethodConfig(kind="shrink", q=q, target_kind=kind)
+               for kind in TARGET_KINDS for q in (1e-6, 0.01, 0.5, 1.0)]
+    return methods + [MethodConfig(kind="truncated_pc", f_hat=f_hat, target_kind=kind)
+                      for kind in TARGET_KINDS for f_hat in (1, f - 1)]
 
 
 def offdiag_norm(a):
@@ -392,10 +411,7 @@ class TestGramRecords:
         _, _, e, scm_train, scm_test = harness._split_scms(panel, 0.5)
         scaled_truth = np.ldexp(truth, -2 * e)
         spectral = spectral_decompose(scm_train)
-        methods = [MethodConfig(kind="shrink", q=q, target_kind=kind)
-                   for kind in TARGET_KINDS for q in (1e-6, 0.01, 0.5, 1.0)]
-        methods += [MethodConfig(kind="truncated_pc", f_hat=f, target_kind=kind)
-                    for kind in TARGET_KINDS for f in (1, spectral.s.shape[0] - 1)]
+        methods = record_methods(spectral.s.shape[0])
         report = cr.stability_experiment(panel, 0.5, methods, truth=truth)
         targets = {kind: build_target(scm_train, kind) for kind in TARGET_KINDS}
         gaps = {kind: offdiag_norm(dense(t) - scm_train.c) for kind, t in targets.items()}
@@ -414,12 +430,51 @@ class TestGramRecords:
             truth_err = np.ldexp(offdiag_norm(est - scaled_truth), 2 * e)
             assert rec.truth_error == pytest.approx(truth_err, rel=RECORD_REL, abs=0)
 
+    @pytest.mark.parametrize("make", GRID_PANELS.values(), ids=GRID_PANELS.keys())
+    def test_root_pcs_match_the_full_spectrum(self, rng, make):
+        rows = make(rng)
+        panel = cr.ReturnsPanel(rows, tuple(f"A{i}" for i in range(rows.shape[0])))
+        _, _, _, scm_train, _ = harness._split_scms(panel, 0.5)
+        full, root = spectral_decompose(scm_train), root_pcs(scm_train)
+        f = full.s.shape[0]
+        assert root.s.shape[0] == f
+        target = build_target(scm_train, "diagonal")
+        # on variance_spread the SVD's own nu^2 is the less accurate one: against
+        # a 40-digit mpmath oracle it is off by up to 1.1e-10, the root form by 2.7e-15
+        atol = 1e-9 if make is GRID_PANELS["variance_spread"] else NU2_ABS
+        for f_hat in (0, 1, f // 2, f - 1, f):
+            nu_full = truncated_pc_model(scm_train, full, target, f_hat)[1]
+            nu_root = truncated_pc_model(scm_train, root, target, f_hat)[1]
+            np.testing.assert_allclose(nu_root ** 2, nu_full ** 2, rtol=0, atol=atol)
+        assert not truncated_pc_model(scm_train, root, target, f)[1].any()
+
+    @pytest.mark.parametrize("make", GRID_PANELS.values(), ids=GRID_PANELS.keys())
+    def test_records_match_the_full_spectrum_route(self, rng, monkeypatch, make):
+        rows = make(rng)
+        panel = cr.ReturnsPanel(rows, tuple(f"A{i}" for i in range(rows.shape[0])))
+        truth = np.cov(rows) + 0.1 * np.diag(np.cov(rows).diagonal())
+        _, _, _, scm_train, _ = harness._split_scms(panel, 0.5)
+        methods = record_methods(spectral_decompose(scm_train).s.shape[0])
+        got = cr.stability_experiment(panel, 0.5, methods, truth=truth)
+        monkeypatch.setattr(harness, "root_pcs", spectral_decompose)
+        want = cr.stability_experiment(panel, 0.5, methods, truth=truth)
+        for g, w in zip(got.records, want.records):
+            for field in ("in_sample_error", "out_of_sample_error", "truth_error",
+                          "leading_pc_overlap"):
+                assert getattr(g, field) == pytest.approx(getattr(w, field), rel=ROUTE_REL,
+                                                          abs=0), (g.label, field)
+            assert g.invertible == w.invertible
+            if g.invertible:
+                assert g.realized_variance == pytest.approx(w.realized_variance, rel=SOLVE_REL,
+                                                            abs=0), g.label
+
     @pytest.mark.parametrize("n, t", [(300, 61), (20, 201)], ids=["wide", "tall"])
     def test_leading_pc_matches_full_decomposition(self, rng, n, t):
         panel = cr.ReturnsPanel(one_factor_rows(rng, n, t), tuple(f"A{i}" for i in range(n)))
         _, _, _, _, scm_test = harness._split_scms(panel, 0.5)
         full = spectral_decompose(scm_test).w[:, 0]
-        v = harness._leading_pc(scm_test)
+        v = root_pcs(scm_test).w[:, 0]
+        v = v / np.linalg.norm(v)
         assert min(np.abs(v - full).max(), np.abs(v + full).max()) <= PC_REL
 
     def test_wide_fit_allocates_no_n_by_n_array(self):
@@ -444,19 +499,16 @@ class TestGramRecords:
 
 
     @pytest.mark.parametrize("n_methods", [1, 4])
-    def test_wide_fit_takes_one_eigh(self, rng, monkeypatch, n_methods):
-        # the targets' factor parts are read off their FactorModels; the one
-        # eigh is the test segment's leading PC, and the q grid needs none
+    def test_wide_fit_takes_one_gram_eigh_per_segment(self, rng, monkeypatch, n_methods):
+        # the targets' factor parts are read off their FactorModels; the train
+        # segment's eigh gives every fit its pairs, the test segment's the
+        # leading PC, and the q grid needs none
         panel = cr.ReturnsPanel(one_factor_rows(rng, 60, 21), tuple(map(str, range(60))))
         methods = [MethodConfig(kind="shrink", q=0.5, target_kind="constant_correlation"),
                    MethodConfig(kind="scm_ridge"),
                    MethodConfig(kind="truncated_pc", f_hat=1),
                    MethodConfig(kind="truncated_pc", f_hat=1, target_kind="constant_correlation")]
-        calls = counting_linalg(monkeypatch, "eigh")
-        cr.grid_search_q(panel, "constant_correlation", [0.0, 0.5, 1.0], 0.5)
-        assert calls == []
-        cr.stability_experiment(panel, 0.5, methods[:n_methods])
-        assert calls == ["eigh"]
+        assert_one_gram_eigh_per_segment(monkeypatch, panel, methods[:n_methods])
 
 
 class TestMethodConfig:
